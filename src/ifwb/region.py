@@ -2,43 +2,27 @@
 
 Scans a bounded box of integer target matrices, keeps every feasible
 allocation plus the two plain-SIC corner points, and extracts the Pareto
-frontier together with the capacity pentagon. Enumeration is deterministic:
-candidates are generated in lexicographic order and results are sorted by
-rate tuple before deduplication and frontier extraction.
+frontier together with the capacity pentagon. The box is evaluated in one
+vectorized pass, and results are sorted by rate tuple before deduplication
+and frontier extraction, so enumeration is deterministic.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionTooLarge, IfwbError, WrongDimension
+from .errors import DimensionTooLarge, IfwbError, NotPositiveDefinite, NotSymmetric
+from .errors import WrongDimension
 from .lattice import int_det
-from .rates import (
-    ChannelInstance,
-    allocate_rates,
-    mmse_sic_plan,
-    pseudo_triangularize,
-    white_input_capacity,
-)
+from .linalg import SYMMETRY_RTOL
+from .rates import ChannelInstance, error_gram, mmse_equalizer, mmse_sic_plan
+from .rates import white_input_capacity
 
 MAX_COEFF_BOUND = 5
 _DEDUP_TOL = 1e-9
-
-
-def default_workers() -> int:
-    """Worker count for enumeration: IFWB_THREADS if set, else hardware default."""
-    env = os.environ.get("IFWB_THREADS")
-    if env is not None:
-        count = int(env)
-        if count < 1:
-            raise ValueError("IFWB_THREADS must be a positive integer")
-        return count
-    return os.cpu_count() or 1
+_PERMUTATIONS = ((0, 1), (1, 0))
 
 
 @dataclass(frozen=True)
@@ -62,26 +46,31 @@ class RateRegion:
     capacity_vertices: tuple
 
 
-def capacity_polytope_2user(ch: ChannelInstance):
-    """Vertices of the 2-user pentagon {R1 <= I1, R2 <= I2, R1+R2 <= C_WI}, CCW.
-
-    I_m is the single-user rate (1/2) log2(1 + snr ||h_m||^2); the corner
-    points coincide with the MMSE-SIC rates under the two decode orders.
-    """
+def _pentagon_constants(ch: ChannelInstance):
+    """(I1, I2, C_WI) with single-user rates I_m = (1/2) log2(1 + snr ||h_m||^2)."""
     if ch.num_streams != 2:
         raise WrongDimension(f"pentagon geometry needs 2 streams, got {ch.num_streams}")
     i1 = 0.5 * np.log2(1.0 + ch.snr * float(ch.H[:, 0] @ ch.H[:, 0]))
     i2 = 0.5 * np.log2(1.0 + ch.snr * float(ch.H[:, 1] @ ch.H[:, 1]))
-    c = white_input_capacity(ch)
-    raw = [
-        (0.0, 0.0),
-        (i1, 0.0),
-        (i1, c - i1),
-        (c - i2, i2),
-        (0.0, i2),
-    ]
+    return i1, i2, white_input_capacity(ch)
+
+
+def _inside(constants, r1, r2, slack: float):
+    """Pentagon test; elementwise when r1 and r2 are arrays."""
+    i1, i2, c = constants
+    low = (r1 >= -slack) & (r2 >= -slack)
+    return low & (r1 <= i1 + slack) & (r2 <= i2 + slack) & (r1 + r2 <= c + slack)
+
+
+def capacity_polytope_2user(ch: ChannelInstance):
+    """Vertices of the 2-user pentagon {R1 <= I1, R2 <= I2, R1+R2 <= C_WI}, CCW.
+
+    The corner points coincide with the MMSE-SIC rates under the two decode
+    orders.
+    """
+    i1, i2, c = _pentagon_constants(ch)
     vertices = []
-    for v in raw:
+    for v in [(0.0, 0.0), (i1, 0.0), (i1, c - i1), (c - i2, i2), (0.0, i2)]:
         if not vertices or max(abs(v[0] - vertices[-1][0]), abs(v[1] - vertices[-1][1])) > 1e-12:
             vertices.append((float(v[0]), float(v[1])))
     return vertices
@@ -89,45 +78,71 @@ def capacity_polytope_2user(ch: ChannelInstance):
 
 def pentagon_contains(ch: ChannelInstance, rates, slack: float = 1e-9) -> bool:
     """Whether a rate pair satisfies the individual and sum constraints."""
-    if ch.num_streams != 2:
-        raise WrongDimension("containment check is 2-user only")
-    r1, r2 = float(rates[0]), float(rates[1])
-    i1 = 0.5 * np.log2(1.0 + ch.snr * float(ch.H[:, 0] @ ch.H[:, 0]))
-    i2 = 0.5 * np.log2(1.0 + ch.snr * float(ch.H[:, 1] @ ch.H[:, 1]))
-    c = white_input_capacity(ch)
-    return (
-        r1 >= -slack
-        and r2 >= -slack
-        and r1 <= i1 + slack
-        and r2 <= i2 + slack
-        and r1 + r2 <= c + slack
-    )
+    return bool(_inside(_pentagon_constants(ch), float(rates[0]), float(rates[1]), slack))
 
 
-def _points_for_matrices(ch: ChannelInstance, matrices) -> list:
-    points = []
-    for a in matrices:
-        if int_det(a) == 0:
-            continue
-        for tri in pseudo_triangularize(a):
-            plan = allocate_rates(ch, a, tri.permutation)
-            if not plan.monotone_feasible:
-                continue
-            rates = tuple(max(0.0, r) for r in plan.stream_rates)
-            points.append(
-                RatePoint(
-                    rates=rates,
-                    source="successive_if",
-                    A=tuple(tuple(int(v) for v in row) for row in a),
-                    permutation=plan.permutation,
-                )
-            )
-    return points
+def _scan_box(ch: ChannelInstance, bound: int):
+    """Monotone-feasible successive-IF plans for every full-rank A in the box.
+
+    All (2 bound + 1)^4 matrices form one stack: A S A^T with S = error_gram(ch)
+    gets one batched Cholesky factorization, whose diagonal gives the per-step
+    rates -log2 l_mm. The checks of rates.if_effective_model and
+    linalg.cholesky_lower hold for every matrix of the stack. For full-rank
+    2x2 A, permutation (0, 1) is feasible iff a00 != 0 and (1, 0) iff a01 != 0.
+    Returns the matrices, indices into _PERMUTATIONS and the stream rates
+    clamped at zero, ordered by A lexicographically, then by permutation.
+    """
+    side = 2 * bound + 1
+    a = (np.indices((side,) * 4, dtype=np.int64).reshape(4, -1).T - bound).reshape(-1, 2, 2)
+    a = a[a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0] != 0]
+    af = a.astype(float)
+    core = af @ error_gram(ch) @ af.transpose(0, 2, 1)
+    sym = 0.5 * (core + core.transpose(0, 2, 1))
+    if not np.all(np.isfinite(sym)):
+        raise ValueError("S contains NaN or Inf")
+    asym = np.abs(sym - sym.transpose(0, 2, 1)).max(axis=(1, 2))
+    if np.any(asym > SYMMETRY_RTOL * np.abs(sym).max(axis=(1, 2))):
+        raise NotSymmetric(f"asymmetry {asym.max():.3e} exceeds {SYMMETRY_RTOL:.0e} relative")
+    try:
+        l = np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from exc
+
+    ktilde = ch.snr * core
+    b = af @ mmse_equalizer(ch)
+    mismatch = b @ ch.H - af
+    direct = ch.snr * (mismatch @ mismatch.transpose(0, 2, 1)) + b @ b.transpose(0, 2, 1)
+    scale = np.maximum(np.abs(ktilde).max(axis=(1, 2)), 1e-300)
+    if np.any(np.abs(direct - ktilde).max(axis=(1, 2)) > 1e-8 * scale):
+        raise IfwbError("filter-algebra and inversion-lemma covariances disagree")
+    if np.any(np.abs(ktilde - ch.snr * l @ l.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-9 * scale):
+        raise IfwbError("Ktilde does not match snr * L L^T")
+
+    diag = np.diagonal(l, axis1=1, axis2=2)
+    diag_sq = diag**2
+    monotone = diag_sq[:, 0] <= diag_sq[:, 1] * (1.0 + 1e-12)
+    identity = np.all(a == np.eye(2, dtype=np.int64), axis=(1, 2))
+    index, perm = np.nonzero((monotone | identity)[:, None] & (a[:, 0, :] != 0))
+    per_step = -np.log2(diag)
+    rates = np.stack([per_step, per_step[:, ::-1]], axis=1)[index, perm]
+    return a[index], perm, np.where(rates > 0.0, rates, 0.0)
 
 
-def enumerate_achievable_points(
-    ch: ChannelInstance, coeff_bound: int, workers: int | None = None
-) -> RateRegion:
+def _is_duplicate(p: RatePoint, kept) -> bool:
+    """Whether a kept point is within _DEDUP_TOL of p in both rates.
+
+    kept is sorted by rates[0], none above p.rates[0], so the backward scan
+    stops at the first kept point too far left: every earlier one is farther.
+    """
+    for k in reversed(kept):
+        if abs(p.rates[0] - k.rates[0]) > _DEDUP_TOL:
+            return False
+        if abs(p.rates[1] - k.rates[1]) <= _DEDUP_TOL:
+            return True
+    return False
+
+
+def enumerate_achievable_points(ch: ChannelInstance, coeff_bound: int) -> RateRegion:
     """Achievable region: feasible allocations over a bounded integer box.
 
     Scans every full-rank integer A with entries in [-coeff_bound,
@@ -141,66 +156,42 @@ def enumerate_achievable_points(
     if not 1 <= bound <= MAX_COEFF_BOUND:
         raise ValueError(f"coeff_bound must be in [1, {MAX_COEFF_BOUND}]")
 
-    points = []
-    for order in ((0, 1), (1, 0)):
-        plan = mmse_sic_plan(ch, decode_order=order)
-        points.append(
-            RatePoint(
-                rates=tuple(max(0.0, r) for r in plan.stream_rates),
-                source="sic_corner",
-                A=((1, 0), (0, 1)),
-                permutation=order,
-            )
+    points = [
+        RatePoint(
+            rates=tuple(max(0.0, r) for r in mmse_sic_plan(ch, order).stream_rates),
+            source="sic_corner",
+            A=((1, 0), (0, 1)),
+            permutation=order,
         )
-
-    entries = range(-bound, bound + 1)
-    matrices = [
-        np.array([[a, b], [c, d]], dtype=np.int64)
-        for a, b, c, d in itertools.product(entries, repeat=4)
+        for order in _PERMUTATIONS
     ]
-    nworkers = default_workers() if workers is None else max(1, int(workers))
-    if nworkers == 1 or len(matrices) < 256:
-        points.extend(_points_for_matrices(ch, matrices))
-    else:
-        chunks = np.array_split(np.arange(len(matrices)), nworkers)
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            parts = pool.map(
-                lambda idx: _points_for_matrices(ch, [matrices[i] for i in idx]), chunks
-            )
-            for part in parts:  # chunk order fixed, merge deterministic
-                points.extend(part)
+    matrices, perms, rates = _scan_box(ch, bound)
+    all_rates = np.concatenate([np.array([p.rates for p in points]), rates])
+    outside = ~_inside(_pentagon_constants(ch), all_rates[:, 0], all_rates[:, 1], 1e-9)
+    if outside.any():
+        bad = tuple(all_rates[np.argmax(outside)].tolist())
+        raise IfwbError(f"enumerated point {bad} exceeds the capacity pentagon")
 
-    for p in points:
-        if not pentagon_contains(ch, p.rates):
-            raise IfwbError(f"enumerated point {p.rates} exceeds the capacity pentagon")
-
+    points += [
+        RatePoint(rates=tuple(r), source="successive_if", A=tuple(map(tuple, m)),
+                  permutation=_PERMUTATIONS[k])
+        for r, m, k in zip(rates.tolist(), matrices.tolist(), perms.tolist())
+    ]
     points.sort(key=lambda p: (p.rates, p.source, p.A, p.permutation))
     kept = []
     for p in points:
-        duplicate = any(
-            abs(p.rates[0] - k.rates[0]) <= _DEDUP_TOL
-            and abs(p.rates[1] - k.rates[1]) <= _DEDUP_TOL
-            for k in kept
-        )
-        if not duplicate:
+        if not _is_duplicate(p, kept):
             kept.append(p)
 
-    frontier = tuple(p for p in kept if not _dominated(p, kept))
+    # kept is sorted by rates and has no equal pair, so a point is dominated
+    # iff a later point has a second rate at least as large
+    frontier, best = [], -np.inf
+    for p in reversed(kept):
+        if p.rates[1] > best:
+            frontier.append(p)
+            best = p.rates[1]
     return RateRegion(
         points=tuple(kept),
-        frontier=frontier,
+        frontier=tuple(reversed(frontier)),
         capacity_vertices=tuple(capacity_polytope_2user(ch)),
     )
-
-
-def _dominated(p: RatePoint, points) -> bool:
-    for q in points:
-        if q is p:
-            continue
-        if (
-            q.rates[0] >= p.rates[0]
-            and q.rates[1] >= p.rates[1]
-            and (q.rates[0] > p.rates[0] or q.rates[1] > p.rates[1])
-        ):
-            return True
-    return False

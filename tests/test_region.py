@@ -1,9 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from ifwb.errors import DimensionTooLarge, WrongDimension
-from ifwb.rates import ChannelInstance, mmse_sic_plan, white_input_capacity
+from ifwb.errors import DimensionTooLarge, IfwbError, WrongDimension
+from ifwb.lattice import int_det
+from ifwb.rates import (
+    ChannelInstance,
+    allocate_rates,
+    mmse_sic_plan,
+    pseudo_triangularize,
+    white_input_capacity,
+)
 from ifwb.region import (
+    RatePoint,
+    _is_duplicate,
     capacity_polytope_2user,
     enumerate_achievable_points,
     pentagon_contains,
@@ -55,7 +66,7 @@ def _contains_rate_pair_like(pairs, r1, r2, tol=ANCHOR_TOL):
 @pytest.fixture(scope="module")
 def region():
     ch = ChannelInstance(np.array([[np.sqrt(2.0), 1.0]]), 10.0**1.5)
-    return ch, enumerate_achievable_points(ch, 3, workers=1)
+    return ch, enumerate_achievable_points(ch, 3)
 
 
 class TestEnumerateAchievablePoints:
@@ -109,13 +120,9 @@ class TestEnumerateAchievablePoints:
                 )
                 assert not dominated
 
-    def test_deterministic_and_worker_independent(self, region):
+    def test_deterministic(self, region):
         ch, reg = region
-        again = enumerate_achievable_points(ch, 3, workers=1)
-        threaded = enumerate_achievable_points(ch, 3, workers=4)
-        assert [p.rates for p in again.points] == [p.rates for p in reg.points]
-        assert [p.rates for p in threaded.points] == [p.rates for p in reg.points]
-        assert [p.rates for p in threaded.frontier] == [p.rates for p in reg.frontier]
+        assert enumerate_achievable_points(ch, 3) == reg
 
     def test_guards(self):
         with pytest.raises(DimensionTooLarge):
@@ -127,20 +134,80 @@ class TestEnumerateAchievablePoints:
             enumerate_achievable_points(ch, 6)
 
 
-class TestWorkerEnv:
-    def test_env_caps_worker_count(self, monkeypatch):
-        from ifwb.region import default_workers
+def _reference_region(ch, bound):
+    """Per-candidate scan: pseudo-triangularize each full-rank A, allocate per permutation.
 
-        monkeypatch.setenv("IFWB_THREADS", "2")
-        assert default_workers() == 2
-        monkeypatch.setenv("IFWB_THREADS", "0")
-        with pytest.raises(ValueError):
-            default_workers()
-        monkeypatch.delenv("IFWB_THREADS")
-        assert default_workers() >= 1
+    Test oracle for the batched scan; deduplication and frontier by pairwise
+    comparison.
+    """
+    points = [
+        RatePoint(tuple(max(0.0, r) for r in mmse_sic_plan(ch, order).stream_rates),
+                  "sic_corner", ((1, 0), (0, 1)), order)
+        for order in ((0, 1), (1, 0))
+    ]
+    for entries in itertools.product(range(-bound, bound + 1), repeat=4):
+        a = np.array(entries, dtype=np.int64).reshape(2, 2)
+        if int_det(a) == 0:
+            continue
+        for tri in pseudo_triangularize(a):
+            plan = allocate_rates(ch, a, tri.permutation)
+            if plan.monotone_feasible:
+                rates = tuple(max(0.0, r) for r in plan.stream_rates)
+                points.append(RatePoint(rates, "successive_if", tuple(map(tuple, a.tolist())),
+                                        plan.permutation))
+    assert all(pentagon_contains(ch, p.rates) for p in points)
+    points.sort(key=lambda p: (p.rates, p.source, p.A, p.permutation))
+    kept = []
+    for p in points:
+        if not any(
+            abs(p.rates[0] - k.rates[0]) <= 1e-9 and abs(p.rates[1] - k.rates[1]) <= 1e-9
+            for k in kept
+        ):
+            kept.append(p)
 
-    def test_env_applies_to_enumeration(self, monkeypatch, region):
-        ch, reg = region
-        monkeypatch.setenv("IFWB_THREADS", "2")
-        threaded = enumerate_achievable_points(ch, 3)
-        assert [p.rates for p in threaded.points] == [p.rates for p in reg.points]
+    def dominated(p):
+        return any(
+            q is not p and q.rates[0] >= p.rates[0] and q.rates[1] >= p.rates[1]
+            and (q.rates[0] > p.rates[0] or q.rates[1] > p.rates[1])
+            for q in kept
+        )
+
+    return kept, [p for p in kept if not dominated(p)]
+
+
+def _seeded_channels():
+    rng = np.random.default_rng(2013)
+    for n in (1, 1, 2, 2, 3, 3):
+        yield ChannelInstance(rng.standard_normal((n, 2)), 10.0 ** (rng.uniform(5.0, 60.0) / 10.0))
+
+
+class TestBatchedScanMatchesReference:
+    @pytest.mark.parametrize(
+        "ch, bound",
+        [(ChannelInstance(np.array([[np.sqrt(2.0), 1.0]]), 10.0**1.5), 3)]
+        + [(ch, 2) for ch in _seeded_channels()],
+    )
+    def test_points_and_frontier_identical(self, ch, bound):
+        reg = enumerate_achievable_points(ch, bound)
+        points, frontier = _reference_region(ch, bound)
+        for got, want in ((reg.points, points), (reg.frontier, frontier)):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.rates == w.rates
+                assert (g.A, g.permutation, g.source) == (w.A, w.permutation, w.source)
+
+    def test_dedup_compares_beyond_last_kept_point(self):
+        def point(r1, r2):
+            return RatePoint((r1, r2), "successive_if", ((1, 0), (0, 1)), (0, 1))
+
+        kept = [point(1.0, 5.0), point(1.0 + 5e-10, 2.0)]
+        assert _is_duplicate(point(1.0 + 6e-10, 5.0), kept)
+        assert not _is_duplicate(point(1.0 + 6e-10, 3.0), kept)
+        assert not _is_duplicate(point(1.0 + 2e-9, 5.0), kept)
+
+
+@pytest.mark.xfail(strict=True, raises=IfwbError,
+                   reason="explicit inverse in error_gram loses the covariance cross-check")
+def test_region_at_90_db():
+    ch = ChannelInstance(np.array([[np.sqrt(2.0), 1.0]]), 1e9)
+    enumerate_achievable_points(ch, 2)
