@@ -232,8 +232,39 @@ def _make_report(original, u_obj, method) -> ReductionReport:
 # LLL
 # ---------------------------------------------------------------------------
 
+# A size reduction by q multiplies the rounding error in mu[j, :j] by |q|;
+# beyond this the incremental update could flip a later rounding decision.
+_GSO_REFRESH_Q = 32
+
+
+def _swap_gso(mu: np.ndarray, nsq: np.ndarray, k: int) -> None:
+    """Update Gram-Schmidt data in place for the exchange of columns k-1 and k.
+
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.3 (SWAP).
+    """
+    mu_k = mu[k, k - 1]
+    new_prev = nsq[k] + mu_k * mu_k * nsq[k - 1]
+    if new_prev <= 0.0:
+        raise DegenerateBasis("zero Gram-Schmidt norm encountered")
+    new_k = nsq[k - 1] * nsq[k] / new_prev
+    if new_k <= 0.0:
+        raise DegenerateBasis("zero Gram-Schmidt norm encountered")
+    mu[k, k - 1] = mu_k * nsq[k - 1] / new_prev
+    nsq[k - 1], nsq[k] = new_prev, new_k
+    mu[[k - 1, k], : k - 1] = mu[[k, k - 1], : k - 1]
+    t = mu[k + 1 :, k].copy()
+    mu[k + 1 :, k] = mu[k + 1 :, k - 1] - mu_k * t
+    mu[k + 1 :, k - 1] = t + mu[k, k - 1] * mu[k + 1 :, k]
+
+
 def _lll_inplace(cols: np.ndarray, u: np.ndarray, delta: float) -> None:
-    """LLL-reduce cols in place, mirroring every integer operation on u."""
+    """LLL-reduce cols in place, mirroring every integer operation on u.
+
+    The Gram-Schmidt data is computed once and then kept current by the
+    incremental size-reduction and swap updates of Cohen's Alg. 2.6.3. It is
+    recomputed after a size reduction by |q| > _GSO_REFRESH_Q, as in
+    Schnorr & Euchner (1994).
+    """
     m = cols.shape[1]
     _, mu, nsq = _gso(cols)
     k = 1
@@ -244,17 +275,21 @@ def _lll_inplace(cols: np.ndarray, u: np.ndarray, delta: float) -> None:
         if sweeps > max_sweeps:
             raise RuntimeError("LLL failed to terminate (pathological delta?)")
         for j in range(k - 1, -1, -1):
-            q = _round_ties_to_zero(mu[k, j])
-            if q != 0:
+            if abs(mu[k, j]) > 0.5:  # else the rounded coefficient is 0
+                q = _round_ties_to_zero(mu[k, j])
                 cols[:, k] -= q * cols[:, j]
                 u[:, k] = u[:, k] - q * u[:, j]
-                _, mu, nsq = _gso(cols)
+                if abs(q) > _GSO_REFRESH_Q:
+                    _, mu, nsq = _gso(cols)
+                else:
+                    mu[k, :j] -= q * mu[j, :j]
+                    mu[k, j] -= q
         if nsq[k] >= (delta - mu[k, k - 1] ** 2) * nsq[k - 1]:
             k += 1
         else:
             cols[:, [k - 1, k]] = cols[:, [k, k - 1]]
             u[:, [k - 1, k]] = u[:, [k, k - 1]]
-            _, mu, nsq = _gso(cols)
+            _swap_gso(mu, nsq, k)
             k = max(k - 1, 1)
 
 
@@ -519,28 +554,25 @@ def brute_force_min_max(g, entry_bound: int, objective: str = "successive_if"):
             return float(np.max(np.diag(l) ** 2))
         return float(np.max(np.sum(l * l, axis=1)))
 
-    def lexmin_signs(a_rows: np.ndarray) -> np.ndarray:
-        rows = []
-        for r in a_rows:
-            t = tuple(int(v) for v in r)
-            neg = tuple(-v for v in t)
-            rows.append(t if t <= neg else neg)
-        return np.array(rows, dtype=np.int64)
+    # Each enumerated row's first nonzero entry is positive, so its
+    # lexicographically smallest sign variant is its negation.
+    canon_rows = [tuple(-int(v) for v in row) for row in reps]
+    row_frob = [int(v) for v in np.sum(cand * cand, axis=1)]
+    best = {"value": math.inf, "frob": None, "rows": None}
 
-    best = {"value": math.inf, "frob": None, "key": None, "a": None}
-
-    def consider(a_rows: np.ndarray, value: float) -> None:
+    def consider(rows: list, value: float) -> None:
         tie = 1e-12 * max(1.0, best["value"] if math.isfinite(best["value"]) else 1.0)
         if value > best["value"] + tie:
             return
-        canon = lexmin_signs(a_rows)
-        frob = int(np.sum(canon * canon))
-        key = tuple(int(v) for v in canon.ravel())
-        if value < best["value"] - tie or (frob, key) < (best["frob"], best["key"]):
-            best.update(value=value, frob=frob, key=key, a=canon)
+        frob = sum(row_frob[i] for i in rows)
+        if value < best["value"] - tie or frob < best["frob"] or (
+            frob == best["frob"]
+            and [canon_rows[i] for i in rows] < [canon_rows[i] for i in best["rows"]]
+        ):
+            best.update(value=value, frob=frob, rows=rows)
 
-    ident = np.eye(m, dtype=np.int64)
-    consider(ident, chol_value(ident))  # always feasible, seeds the bound
+    ident = [reps.index(tuple(int(i == j) for j in range(m))) for i in range(m)]
+    consider(ident, chol_value(np.eye(m)))  # always feasible, seeds the bound
 
     def independent(chosen: list, idx: int, resid: float) -> bool:
         if resid > rank_thresh:
@@ -565,7 +597,7 @@ def brute_force_min_max(g, entry_bound: int, objective: str = "successive_if"):
                     continue
                 if node_best is None:
                     node_best = value
-                consider(cand[chosen + [idx]], value)
+                consider(chosen + [idx], value)
             else:
                 if not independent(chosen, idx, float(resid_sq[idx])):
                     continue
@@ -581,6 +613,7 @@ def brute_force_min_max(g, entry_bound: int, objective: str = "successive_if"):
 
     descend([], norms_sq.copy(), [], 0.0)
 
-    if best["a"] is None:  # unreachable for entry_bound >= 1
+    if best["rows"] is None:  # unreachable for entry_bound >= 1
         raise NoFullRankCandidate("no full-rank integer matrix in the search box")
-    return best["a"], chol_value(best["a"])
+    a = np.array([canon_rows[i] for i in best["rows"]], dtype=np.int64)
+    return a, chol_value(a)

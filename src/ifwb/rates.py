@@ -348,24 +348,28 @@ class PseudoTriangularization:
     Atilde: np.ndarray  # Atilde[:, permutation] is upper triangular
 
 
-def _feasible_permutations(a: np.ndarray) -> list[tuple]:
-    """Permutations realizable by elimination without row swaps or scaling.
-
-    A permutation is feasible iff every leading principal minor of the
-    column-permuted matrix is nonzero; minors are computed in exact integer
-    arithmetic.
-    """
-    m = a.shape[0]
+def _guard_pseudo_tri_dim(m: int) -> None:
     if m > MAX_PSEUDO_TRI_DIM:
         raise DimensionTooLarge(
             f"pseudo-triangularization scans {m}! permutations; guarded to {MAX_PSEUDO_TRI_DIM}"
         )
-    feasible = []
-    for perm in itertools.permutations(range(m)):
-        cols = a[:, perm]
-        if all(int_det(cols[:k, :k]) != 0 for k in range(1, m + 1)):
-            feasible.append(perm)
-    return feasible
+
+
+def _is_feasible(a: np.ndarray, perm: tuple) -> bool:
+    """True iff elimination without row swaps or scaling realizes perm.
+
+    That holds iff every leading principal minor of the column-permuted
+    matrix is nonzero; minors are computed in exact integer arithmetic.
+    """
+    cols = a[:, list(perm)]
+    return all(int_det(cols[:k, :k]) != 0 for k in range(1, len(perm) + 1))
+
+
+def _feasible_permutations(a: np.ndarray) -> list[tuple]:
+    """All permutations realizable by elimination without row swaps or scaling."""
+    m = a.shape[0]
+    _guard_pseudo_tri_dim(m)
+    return [perm for perm in itertools.permutations(range(m)) if _is_feasible(a, perm)]
 
 
 def pseudo_triangularize(a) -> list[PseudoTriangularization]:
@@ -422,7 +426,8 @@ def allocate_rates(ch: ChannelInstance, a, permutation) -> AllocationPlan:
     perm = tuple(int(i) for i in permutation)
     if sorted(perm) != list(range(m)):
         raise ValueError(f"permutation must be a permutation of 0..{m - 1}")
-    if perm not in _feasible_permutations(a):
+    _guard_pseudo_tri_dim(a.shape[0])
+    if len(perm) != a.shape[0] or not _is_feasible(a, perm):
         raise InfeasiblePermutation(f"permutation {perm} is not feasible for this A")
     model = if_effective_model(ch, a)
     diag = np.diag(model.L)
