@@ -69,15 +69,27 @@ def _read_matrix_csv(path: str) -> np.ndarray:
     return np.array(rows)
 
 
-def _load_channel(args) -> ChannelInstance:
+def _channel_matrix(h: np.ndarray, him: np.ndarray | None) -> np.ndarray:
+    """H itself, or the real block form of H + j him when him is given."""
+    if him is None:
+        return h
+    if him.shape != h.shape:
+        raise CliError(
+            f"real and imaginary channel parts differ in shape: {h.shape} vs {him.shape}"
+        )
+    return complex_to_real(h + 1j * him)
+
+
+def _read_channel(args) -> np.ndarray:
     if args.channel is None:
         raise CliError("--channel is required")
     h = _read_matrix_csv(args.channel)
-    if getattr(args, "channel_imag", None):
-        him = _read_matrix_csv(args.channel_imag)
-        if him.shape != h.shape:
-            raise CliError("real and imaginary channel files differ in shape")
-        h = complex_to_real(h + 1j * him)
+    him = _read_matrix_csv(args.channel_imag) if args.channel_imag else None
+    return _channel_matrix(h, him)
+
+
+def _load_channel(args) -> ChannelInstance:
+    h = _read_channel(args)
     snr_db = _parse_snr_list(args.snr_db)
     if len(snr_db) != 1:
         raise CliError("this subcommand takes a single --snr-db value")
@@ -119,15 +131,6 @@ def _parse_order(text: str, m: int) -> tuple:
 
 def _one_based(perm) -> list[int]:
     return [int(i) + 1 for i in perm]
-
-
-def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _write_text(text: str, out_path: str | None) -> None:
@@ -222,7 +225,8 @@ def cmd_rates(args) -> int:
         "mmse_sic_sum_minus_cwi": sic.sum_rate - cwi,
         "successive_if_identity": sif.sum_rate + sif.det_gap - cwi,
     }
-    _emit(_report(ch, snr_db, results, residuals), args.out)
+    report = _report(ch, snr_db, results, residuals)
+    _write_text(json.dumps(report, indent=2) + "\n", args.out)
     return 0
 
 
@@ -238,7 +242,7 @@ def cmd_optimize_a(args) -> int:
         "max_step_residual": successive_objective(ch, a),
         "successive_if_per_step": list(successive_if_rates(ch, a).per_step),
     }
-    _emit(_report(ch, snr_db, results, {}), args.out)
+    _write_text(json.dumps(_report(ch, snr_db, results, {}), indent=2) + "\n", args.out)
     return 0
 
 
@@ -267,7 +271,7 @@ def cmd_region(args) -> int:
         "points": [point_dict(p) for p in reg.points],
         "frontier": [point_dict(p) for p in reg.frontier],
     }
-    _emit(_report(ch, snr_db, results, {}), args.out)
+    _write_text(json.dumps(_report(ch, snr_db, results, {}), indent=2) + "\n", args.out)
     csv_lines = ["R1,R2,source,detA"]
     csv_lines += [
         f"{p.rates[0]!r},{p.rates[1]!r},{p.source},{p.det_a}" for p in reg.frontier
@@ -288,8 +292,8 @@ def cmd_simulate(args) -> int:
             h = _read_matrix_csv(raw["channel_file"])
         else:
             h = np.array(raw["channel"], dtype=float)
-        if "channel_imag" in raw:
-            h = complex_to_real(h + 1j * np.array(raw["channel_imag"], dtype=float))
+        him = np.array(raw["channel_imag"], dtype=float) if "channel_imag" in raw else None
+        h = _channel_matrix(h, him)
         ch = ChannelInstance(h, 10.0 ** (float(raw["snr_db"]) / 10.0))
         a = (
             as_integer_matrix(raw["a_matrix"])
@@ -322,7 +326,8 @@ def cmd_simulate(args) -> int:
             np.abs(result.empirical_Ktilde - analytic).max() / scale
         ),
     }
-    _emit(_report(ch, float(raw["snr_db"]), results, {}), args.out)
+    report = _report(ch, float(raw["snr_db"]), results, {})
+    _write_text(json.dumps(report, indent=2) + "\n", args.out)
     return 0
 
 
@@ -334,11 +339,7 @@ def cmd_sweep(args) -> int:
     for s in schemes:
         if s not in SCHEMES:
             raise CliError(f"unknown scheme {s!r}; choose from {', '.join(SCHEMES)}")
-    if args.channel is None:
-        raise CliError("--channel is required")
-    h = _read_matrix_csv(args.channel)
-    if getattr(args, "channel_imag", None):
-        h = complex_to_real(h + 1j * _read_matrix_csv(args.channel_imag))
+    h = _read_channel(args)
     mode = _MODES[args.mode or "kz"]
 
     lines = ["snr_db,scheme,symmetric_rate,sum_rate"]

@@ -27,6 +27,12 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _any(flags) -> bool:
+    """flags.any(); the 0-d flag of a single matrix is tested directly, because
+    a numpy scalar's .any() costs more than the per-matrix check itself."""
+    return bool(flags.any() if flags.ndim else flags)
+
+
 def cholesky_lower(s) -> np.ndarray:
     """Lower-triangular Cholesky factor L of a symmetric positive-definite S.
 
@@ -36,18 +42,32 @@ def cholesky_lower(s) -> np.ndarray:
     pivot raises NotPositiveDefinite. Failures are never regularized away:
     every caller in this package passes matrices that are SPD by
     construction, so a failure indicates a caller bug.
+
+    A stack of shape (..., n, n) is factored matrix by matrix; the scale,
+    zero-matrix and symmetry checks apply to each matrix on its own.
     """
-    s = as_matrix(s, "S")
-    n, m = s.shape
+    s = np.asarray(s, dtype=float)
+    if s.ndim <= 2:
+        s = as_matrix(s, "S")
+    elif s.size == 0:
+        raise ValueError("S must be nonempty")
+    elif not np.all(np.isfinite(s)):
+        raise ValueError("S contains NaN or Inf")
+    n, m = s.shape[-2:]
     if n != m:
         raise NotSymmetric(f"S must be square, got {s.shape}")
-    scale = np.abs(s).max()
-    if scale == 0.0:
+    st = s.swapaxes(-1, -2)
+    scale = np.abs(s).max(axis=(-2, -1))
+    if _any(scale == 0.0):
         raise NotPositiveDefinite("S is the zero matrix")
-    asym = np.abs(s - s.T).max()
-    if asym > SYMMETRY_RTOL * scale:
-        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.0e} * {scale:.3e}")
-    sym = 0.5 * (s + s.T)
+    asym = np.abs(s - st).max(axis=(-2, -1))
+    bad = asym > SYMMETRY_RTOL * scale
+    if _any(bad):
+        i = np.argmax(bad)
+        raise NotSymmetric(
+            f"asymmetry {asym.flat[i]:.3e} exceeds {SYMMETRY_RTOL:.0e} * {scale.flat[i]:.3e}"
+        )
+    sym = 0.5 * (s + st)
     try:
         return np.linalg.cholesky(sym)
     except np.linalg.LinAlgError as exc:

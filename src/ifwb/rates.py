@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .lattice import (
     kz_approx_successive_lll,
     kz_reduce,
 )
-from .linalg import as_matrix, cholesky_lower
+from .linalg import _any, as_matrix, cholesky_lower
 
 MAX_PSEUDO_TRI_DIM = 6
 
@@ -73,6 +74,36 @@ class ChannelInstance:
         """Channel with transmit streams reordered (columns permuted)."""
         return ChannelInstance(self.H[:, list(order)], self.snr)
 
+    # The matrices below are pure functions of (H, snr); each is computed
+    # once per instance and returned read-only.
+
+    @cached_property
+    def capacity_gram(self) -> np.ndarray:
+        """I + snr * H^T H, the Gram matrix behind every rate expression."""
+        return _read_only(np.eye(self.num_streams) + self.snr * (self.H.T @ self.H))
+
+    @cached_property
+    def error_gram(self) -> np.ndarray:
+        """(I + snr * H^T H)^{-1}, symmetrized; the MMSE error covariance over snr."""
+        s = np.linalg.inv(self.capacity_gram)
+        return _read_only(0.5 * (s + s.T))
+
+    @cached_property
+    def sic_cholesky(self) -> np.ndarray:
+        """Lower Cholesky factor G of (I + snr H^T H)^{-1}."""
+        return _read_only(cholesky_lower(self.error_gram))
+
+    @cached_property
+    def mmse_equalizer(self) -> np.ndarray:
+        """Forward MMSE filter H^T (I/snr + H H^T)^{-1}."""
+        gram = np.eye(self.num_receive) / self.snr + self.H @ self.H.T
+        return _read_only(self.H.T @ np.linalg.inv(gram))
+
+
+def _read_only(value: np.ndarray) -> np.ndarray:
+    value.setflags(write=False)
+    return value
+
 
 def as_integer_matrix(a, name: str = "A") -> np.ndarray:
     """Validate an integer square matrix, returned as int64."""
@@ -93,56 +124,13 @@ def _validate_full_rank(a: np.ndarray, name: str = "A") -> np.ndarray:
     return a
 
 
-def _derived(ch: ChannelInstance, key: str, build) -> np.ndarray:
-    """Cache matrices that are pure functions of the (immutable) channel.
-
-    Concurrent first calls may both build; they produce identical read-only
-    arrays, so the race is benign and results stay deterministic.
-    """
-    store = ch.__dict__.setdefault("_derived_cache", {})
-    if key not in store:
-        value = build()
-        value.setflags(write=False)
-        store[key] = value
-    return store[key]
-
-
-def capacity_gram(ch: ChannelInstance) -> np.ndarray:
-    """I + snr * H^T H, the Gram matrix behind every rate expression."""
-    return _derived(
-        ch,
-        "capacity_gram",
-        lambda: np.eye(ch.num_streams) + ch.snr * (ch.H.T @ ch.H),
-    )
-
-
-def error_gram(ch: ChannelInstance) -> np.ndarray:
-    """(I + snr * H^T H)^{-1}, symmetrized; the MMSE error covariance over snr."""
-
-    def build():
-        s = np.linalg.inv(capacity_gram(ch))
-        return 0.5 * (s + s.T)
-
-    return _derived(ch, "error_gram", build)
-
-
-def mmse_equalizer(ch: ChannelInstance) -> np.ndarray:
-    """Forward MMSE filter H^T (I/snr + H H^T)^{-1}."""
-
-    def build():
-        gram = np.eye(ch.num_receive) / ch.snr + ch.H @ ch.H.T
-        return ch.H.T @ np.linalg.inv(gram)
-
-    return _derived(ch, "mmse_equalizer", build)
-
-
 # ---------------------------------------------------------------------------
 # capacities
 # ---------------------------------------------------------------------------
 
 def white_input_capacity(ch: ChannelInstance) -> float:
     """White-input mutual information (1/2) log2 det(I + snr H^T H)."""
-    sign, logdet = np.linalg.slogdet(capacity_gram(ch))
+    sign, logdet = np.linalg.slogdet(ch.capacity_gram)
     if sign <= 0:
         raise IfwbError("capacity Gram matrix not positive definite")
     return 0.5 * logdet / math.log(2.0)
@@ -212,7 +200,7 @@ def mmse_sic_plan(ch: ChannelInstance, decode_order=None) -> SicPlan:
     if sorted(order) != list(range(m)):
         raise ValueError(f"decode_order must be a permutation of 0..{m - 1}")
     chp = ch if order == tuple(range(m)) else ch.with_columns(order)
-    g = cholesky_lower(error_gram(chp))
+    g = chp.sic_cholesky
     diag = np.diag(g)
     assert np.all(diag > 0) and np.all(diag <= 1.0 + 1e-12), "g_mm must lie in (0, 1]"
     rates = tuple(float(-np.log2(d)) for d in diag)
@@ -245,9 +233,33 @@ class EffectiveNoiseModel:
     def __post_init__(self):
         if int_det(self.A) == 0:
             raise SingularA("effective model requires full-rank A")
-        scale = max(np.abs(self.Ktilde).max(), 1e-300)
-        if np.abs(self.Ktilde - self.snr * self.L @ self.L.T).max() > 1e-9 * scale:
-            raise IfwbError("Ktilde does not match snr * L L^T")
+
+
+def _mt(x: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix over the trailing two axes."""
+    return x.swapaxes(-1, -2)
+
+
+def _effective_noise(ch: ChannelInstance, af: np.ndarray):
+    """(Ktilde, L, B) for float integer matrices af of shape (..., M, M).
+
+    Ktilde = snr A S A^T with S = ch.error_gram, L is the Cholesky factor of
+    A S A^T and B = A ch.mmse_equalizer. Each matrix of a stack is checked on
+    its own: the filter-algebra covariance snr (BH - A)(BH - A)^T + B B^T
+    must match Ktilde to 1e-8 relative, and snr L L^T must match it to 1e-9.
+    """
+    core = af @ ch.error_gram @ _mt(af)
+    ktilde = ch.snr * core
+    l = cholesky_lower(0.5 * (core + _mt(core)))
+    b = af @ ch.mmse_equalizer
+    mismatch = b @ ch.H - af
+    direct = ch.snr * (mismatch @ _mt(mismatch)) + b @ _mt(b)
+    scale = np.maximum(np.abs(ktilde).max(axis=(-2, -1)), 1e-300)
+    if _any(np.abs(direct - ktilde).max(axis=(-2, -1)) > 1e-8 * scale):
+        raise IfwbError("filter-algebra and inversion-lemma covariances disagree")
+    if _any(np.abs(ktilde - ch.snr * l @ _mt(l)).max(axis=(-2, -1)) > 1e-9 * scale):
+        raise IfwbError("Ktilde does not match snr * L L^T")
+    return ktilde, l, b
 
 
 def if_effective_model(ch: ChannelInstance, a) -> EffectiveNoiseModel:
@@ -255,23 +267,14 @@ def if_effective_model(ch: ChannelInstance, a) -> EffectiveNoiseModel:
 
     B = A H^T (I/snr + H H^T)^{-1} and Ktilde = snr A (I + snr H^T H)^{-1} A^T.
     The two expressions for Ktilde (direct filter algebra and the
-    matrix-inversion-lemma form) are cross-checked to 1e-8 relative.
+    matrix-inversion-lemma form) are cross-checked to 1e-8 relative, and
+    Ktilde against snr L L^T to 1e-9.
     """
     a = _validate_full_rank(a)
     m = ch.num_streams
     if a.shape[0] != m:
         raise ValueError(f"A must be {m}x{m} for this channel, got {a.shape}")
-    af = a.astype(float)
-    s = error_gram(ch)
-    core = af @ s @ af.T
-    ktilde = ch.snr * core
-    l = cholesky_lower(0.5 * (core + core.T))
-    b = af @ mmse_equalizer(ch)
-    mismatch = b @ ch.H - af
-    direct = ch.snr * (mismatch @ mismatch.T) + b @ b.T
-    scale = max(np.abs(ktilde).max(), 1e-300)
-    if np.abs(direct - ktilde).max() > 1e-8 * scale:
-        raise IfwbError("filter-algebra and inversion-lemma covariances disagree")
+    ktilde, l, b = _effective_noise(ch, a.astype(float))
     return EffectiveNoiseModel(A=a, B=b, Ktilde=ktilde, L=l, snr=ch.snr)
 
 
@@ -457,11 +460,6 @@ def allocate_rates(ch: ChannelInstance, a, permutation) -> AllocationPlan:
 # optimal integer matrix
 # ---------------------------------------------------------------------------
 
-def sic_cholesky(ch: ChannelInstance) -> np.ndarray:
-    """Lower Cholesky factor G of (I + snr H^T H)^{-1}."""
-    return cholesky_lower(error_gram(ch))
-
-
 def optimal_a(ch: ChannelInstance, mode: str = "kz_exact", bound: int | None = None) -> np.ndarray:
     """Integer matrix minimizing the worst per-step prediction residual.
 
@@ -473,7 +471,7 @@ def optimal_a(ch: ChannelInstance, mode: str = "kz_exact", bound: int | None = N
     - "brute_force": exhaustive search over entries in [-bound, bound]
       (requires ``bound``; dimension guarded), used as an independent oracle.
     """
-    g = sic_cholesky(ch)
+    g = ch.sic_cholesky
     if mode == "kz_exact":
         report = kz_reduce(g.T)
         return report.transform.T.copy()

@@ -13,12 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionTooLarge, IfwbError, NotPositiveDefinite, NotSymmetric
-from .errors import WrongDimension
+from .errors import DimensionTooLarge, IfwbError, WrongDimension
 from .lattice import int_det
-from .linalg import SYMMETRY_RTOL
-from .rates import ChannelInstance, error_gram, mmse_equalizer, mmse_sic_plan
-from .rates import white_input_capacity
+from .rates import ChannelInstance, _effective_noise, mmse_sic_plan, white_input_capacity
 
 MAX_COEFF_BOUND = 5
 _DEDUP_TOL = 1e-9
@@ -84,40 +81,18 @@ def pentagon_contains(ch: ChannelInstance, rates, slack: float = 1e-9) -> bool:
 def _scan_box(ch: ChannelInstance, bound: int):
     """Monotone-feasible successive-IF plans for every full-rank A in the box.
 
-    All (2 bound + 1)^4 matrices form one stack: A S A^T with S = error_gram(ch)
-    gets one batched Cholesky factorization, whose diagonal gives the per-step
-    rates -log2 l_mm. The checks of rates.if_effective_model and
-    linalg.cholesky_lower hold for every matrix of the stack. For full-rank
-    2x2 A, permutation (0, 1) is feasible iff a00 != 0 and (1, 0) iff a01 != 0.
-    Returns the matrices, indices into _PERMUTATIONS and the stream rates
-    clamped at zero, ordered by A lexicographically, then by permutation.
+    All (2 bound + 1)^4 matrices form one stack, which rates._effective_noise
+    factors and checks matrix by matrix as for rates.if_effective_model; the
+    diagonal of each Cholesky factor L gives the per-step rates -log2 l_mm.
+    For full-rank 2x2 A, permutation (0, 1) is feasible iff a00 != 0 and
+    (1, 0) iff a01 != 0. Returns the matrices, indices into _PERMUTATIONS and
+    the stream rates clamped at zero, ordered by A lexicographically, then by
+    permutation.
     """
     side = 2 * bound + 1
     a = (np.indices((side,) * 4, dtype=np.int64).reshape(4, -1).T - bound).reshape(-1, 2, 2)
     a = a[a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0] != 0]
-    af = a.astype(float)
-    core = af @ error_gram(ch) @ af.transpose(0, 2, 1)
-    sym = 0.5 * (core + core.transpose(0, 2, 1))
-    if not np.all(np.isfinite(sym)):
-        raise ValueError("S contains NaN or Inf")
-    asym = np.abs(sym - sym.transpose(0, 2, 1)).max(axis=(1, 2))
-    if np.any(asym > SYMMETRY_RTOL * np.abs(sym).max(axis=(1, 2))):
-        raise NotSymmetric(f"asymmetry {asym.max():.3e} exceeds {SYMMETRY_RTOL:.0e} relative")
-    try:
-        l = np.linalg.cholesky(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-
-    ktilde = ch.snr * core
-    b = af @ mmse_equalizer(ch)
-    mismatch = b @ ch.H - af
-    direct = ch.snr * (mismatch @ mismatch.transpose(0, 2, 1)) + b @ b.transpose(0, 2, 1)
-    scale = np.maximum(np.abs(ktilde).max(axis=(1, 2)), 1e-300)
-    if np.any(np.abs(direct - ktilde).max(axis=(1, 2)) > 1e-8 * scale):
-        raise IfwbError("filter-algebra and inversion-lemma covariances disagree")
-    if np.any(np.abs(ktilde - ch.snr * l @ l.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-9 * scale):
-        raise IfwbError("Ktilde does not match snr * L L^T")
-
+    _, l, _ = _effective_noise(ch, a.astype(float))
     diag = np.diagonal(l, axis1=1, axis2=2)
     diag_sq = diag**2
     monotone = diag_sq[:, 0] <= diag_sq[:, 1] * (1.0 + 1e-12)

@@ -24,7 +24,6 @@ from ifwb.rates import (
     mmse_sic_plan,
     optimal_a,
     pseudo_triangularize,
-    sic_cholesky,
     successive_if_rates,
     successive_objective,
     white_input_capacity,
@@ -103,7 +102,7 @@ def test_criterion_3_kz_optimality():
                 a_kz = optimal_a(ch, "kz_exact")
                 assert abs(int_det(a_kz)) == 1
                 obj_kz = successive_objective(ch, a_kz)
-                _, obj_bf = brute_force_min_max(sic_cholesky(ch), 5, "successive_if")
+                _, obj_bf = brute_force_min_max(ch.sic_cholesky, 5, "successive_if")
                 assert abs(obj_kz - obj_bf) <= 1e-9 * max(1.0, obj_bf)
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"took {elapsed:.1f}s, budget 60s"

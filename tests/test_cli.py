@@ -205,6 +205,14 @@ class TestSimulate:
         assert main(["simulate", "--config", str(path)]) == 2
         capsys.readouterr()
 
+    def test_rejects_imaginary_part_of_other_shape(self, capsys, tmp_path):
+        cfg = {"channel": [[1.0, 0.5], [0.2, 1.0]], "channel_imag": [[0.1, 0.3]],
+               "snr_db": 10, "a_matrix": np.eye(4, dtype=int).tolist(), "trials": 100}
+        path = tmp_path / "mismatch.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "differ in shape" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_schema_and_monotonicity(self, capsys, ex1_csv):
@@ -241,3 +249,12 @@ class TestSweep:
     def test_rejects_unknown_scheme(self, capsys, ex1_csv):
         assert main(["sweep", "--channel", ex1_csv, "--snr-db", "10", "--schemes", "magic"]) == 2
         capsys.readouterr()
+
+    def test_rejects_imaginary_part_of_other_shape(self, capsys, tmp_path):
+        re_path, im_path = tmp_path / "re.csv", tmp_path / "im.csv"
+        re_path.write_text("1.0,0.5\n0.2,1.0\n")
+        im_path.write_text("0.1,0.3\n")
+        argv = ["sweep", "--channel", str(re_path), "--channel-imag", str(im_path),
+                "--snr-db", "10", "--schemes", "s-if"]
+        assert main(argv) == 2
+        assert "differ in shape" in capsys.readouterr().err

@@ -250,25 +250,25 @@ class TestBruteForceMinMax:
         assert sorted(np.abs(a).ravel().tolist()) == [0, 0, 1, 1]
 
     def test_example_channel_known_values(self):
-        from ifwb.rates import ChannelInstance, sic_cholesky
+        from ifwb.rates import ChannelInstance
 
         ch = ChannelInstance(np.array([[np.sqrt(2.0), 1.0]]), 10**1.5)
-        a, value = brute_force_min_max(sic_cholesky(ch), 5, "successive_if")
+        a, value = brute_force_min_max(ch.sic_cholesky, 5, "successive_if")
         import math
 
         # the optimum achieves the reference worst-step rate 1.4463
         per_step_worst = -0.5 * math.log2(value)
         assert abs(per_step_worst - 1.4463) <= 5e-4
-        suc, _ = _objectives(sic_cholesky(ch), np.array([[1, 1], [3, 2]]))
+        suc, _ = _objectives(ch.sic_cholesky, np.array([[1, 1], [3, 2]]))
         assert abs(value - suc) <= 1e-9
 
     def test_objectives_genuinely_differ(self):
         # frozen divergence fixture: found by sweeping seeds
-        from ifwb.rates import ChannelInstance, sic_cholesky
+        from ifwb.rates import ChannelInstance
 
         rng = np.random.default_rng(0)
         h = rng.standard_normal((2, 2))
-        g = sic_cholesky(ChannelInstance(h, 100.0))
+        g = ChannelInstance(h, 100.0).sic_cholesky
         a_s, v_s = brute_force_min_max(g, 3, "successive_if")
         a_i, v_i = brute_force_min_max(g, 3, "standard_if")
         _, std_of_s = _objectives(g, a_s)
@@ -456,7 +456,7 @@ def _reference_brute_force_min_max(g, entry_bound, objective):
 
 def _channel_g(rng, m, n, snr_db, cond=None):
     """Cholesky factor G of (I + snr H^T H)^{-1}; H Gaussian or with a set condition number."""
-    from ifwb.rates import ChannelInstance, sic_cholesky
+    from ifwb.rates import ChannelInstance
 
     if cond is None:
         h = rng.standard_normal((n, m))
@@ -465,7 +465,7 @@ def _channel_g(rng, m, n, snr_db, cond=None):
         left, _ = np.linalg.qr(rng.standard_normal((n, n)))
         right, _ = np.linalg.qr(rng.standard_normal((m, m)))
         h = left[:, :k] @ np.diag(np.logspace(0, -np.log10(cond), k)) @ right[:, :k].T
-    return sic_cholesky(ChannelInstance(h, 10.0 ** (snr_db / 10.0)))
+    return ChannelInstance(h, 10.0 ** (snr_db / 10.0)).sic_cholesky
 
 
 def _oracle_cases():

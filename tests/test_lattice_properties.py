@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ifwb.lattice import brute_force_min_max, is_kz_reduced, kz_reduce, lll_reduce
 from ifwb.linalg import cholesky_lower
-from ifwb.rates import ChannelInstance, sic_cholesky
+from ifwb.rates import ChannelInstance
 
 from test_lattice import assert_size_reduced_and_lovasz
 
@@ -26,7 +26,7 @@ def channel_g(draw, dims, square=False, max_snr_db=120.0):
     entries = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
     h = np.array(draw(st.lists(entries, min_size=n * m, max_size=n * m))).reshape(n, m)
     snr_db = draw(st.floats(0.0, max_snr_db))
-    return sic_cholesky(ChannelInstance(h, 10.0 ** (snr_db / 10.0)))
+    return ChannelInstance(h, 10.0 ** (snr_db / 10.0)).sic_cholesky
 
 
 @PROPERTY_SETTINGS

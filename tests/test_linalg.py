@@ -53,6 +53,43 @@ class TestCholeskyLower:
             cholesky_lower([[np.nan, 0.0], [0.0, 1.0]])
 
 
+class TestCholeskyLowerStack:
+    @staticmethod
+    def _spd_stack(seed, shape=(3, 4), n=3):
+        m = np.random.default_rng(seed).standard_normal(shape + (n, n))
+        return m @ np.swapaxes(m, -1, -2) + np.eye(n)
+
+    def test_bitwise_equal_to_one_by_one(self):
+        for shape, n in (((7,), 2), ((3, 4), 3), ((1,), 5)):
+            s = self._spd_stack(shape[0] + n, shape, n)
+            l = cholesky_lower(s)
+            assert l.shape == s.shape
+            for idx in np.ndindex(*shape):
+                np.testing.assert_array_equal(l[idx], cholesky_lower(s[idx]))
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ([[1.0, 0.0], [0.0, -1.0]], NotPositiveDefinite),
+            ([[0.0, 0.0], [0.0, 0.0]], NotPositiveDefinite),
+            ([[np.nan, 0.0], [0.0, 1.0]], ValueError),
+        ],
+    )
+    def test_one_bad_matrix_fails_the_stack(self, bad, error):
+        s = self._spd_stack(5, (4,), 2)
+        s[2] = bad
+        with pytest.raises(error):
+            cholesky_lower(s)
+
+    def test_symmetry_is_judged_against_each_matrix_scale(self):
+        # 1e-6 asymmetry passes next to entries of 1e6 but not next to entries of 1
+        big = np.array([[1e6, 1.0], [1.0, 1e6]])
+        small = np.array([[1.0, 1e-6], [0.0, 1.0]])
+        cholesky_lower(big + np.array([[0.0, 1e-6], [0.0, 0.0]]))
+        with pytest.raises(NotSymmetric):
+            cholesky_lower(np.stack([big, small]))
+
+
 class TestGramSchmidt:
     def test_identity(self):
         fstar, r = gram_schmidt(np.eye(3))

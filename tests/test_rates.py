@@ -8,6 +8,7 @@ from ifwb.errors import DimensionTooLarge, InfeasiblePermutation, SingularA
 from ifwb.lattice import int_det
 from ifwb.rates import (
     ChannelInstance,
+    _effective_noise,
     allocate_rates,
     decoding_error_bounds,
     gdfe_filters,
@@ -16,7 +17,6 @@ from ifwb.rates import (
     mmse_sic_plan,
     optimal_a,
     pseudo_triangularize,
-    sic_cholesky,
     successive_if_rates,
     successive_objective,
     waterfilling_capacity,
@@ -24,6 +24,62 @@ from ifwb.rates import (
 )
 
 ANCHOR_TOL = 5e-4  # reference values are quoted to four decimals
+
+DERIVED = ("capacity_gram", "error_gram", "sic_cholesky", "mmse_equalizer")
+
+
+class TestChannelDerivedMatrices:
+    def test_values(self):
+        rng = np.random.default_rng(40)
+        for _ in range(10):
+            ch = random_channel(rng)
+            m, n = ch.num_streams, ch.num_receive
+            np.testing.assert_array_equal(ch.capacity_gram, np.eye(m) + ch.snr * (ch.H.T @ ch.H))
+            np.testing.assert_allclose(ch.error_gram @ ch.capacity_gram, np.eye(m), atol=1e-10)
+            g = ch.sic_cholesky
+            np.testing.assert_array_equal(g, np.tril(g))
+            np.testing.assert_allclose(g @ g.T, ch.error_gram, atol=1e-12)
+            expected = ch.H.T @ np.linalg.inv(np.eye(n) / ch.snr + ch.H @ ch.H.T)
+            np.testing.assert_allclose(ch.mmse_equalizer, expected, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("name", DERIVED)
+    def test_read_only_and_computed_once(self, example1, name):
+        value = getattr(example1, name)
+        assert getattr(example1, name) is value
+        assert not value.flags.writeable
+        with pytest.raises(ValueError):
+            value[0, 0] = 1.0
+
+    @pytest.mark.parametrize("name", DERIVED)
+    def test_reordered_channel_has_its_own_values(self, example1, name):
+        swapped = example1.with_columns((1, 0))
+        ours, theirs = getattr(example1, name), getattr(swapped, name)
+        assert theirs is not ours
+        if name == "sic_cholesky":
+            np.testing.assert_allclose(theirs @ theirs.T, swapped.error_gram, atol=1e-12)
+            assert not np.allclose(theirs, ours[::-1, ::-1])
+        elif name == "mmse_equalizer":
+            np.testing.assert_allclose(theirs, ours[::-1], rtol=1e-12)
+        else:
+            np.testing.assert_allclose(theirs, ours[::-1, ::-1], rtol=1e-12)
+
+    def test_sic_plan_reuses_the_channel_factor(self, example1):
+        assert mmse_sic_plan(example1).G is example1.sic_cholesky
+
+
+class TestEffectiveNoiseKernel:
+    def test_stack_matches_one_matrix_at_a_time(self):
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            ch = random_channel(rng, max_dim=3)
+            stack = np.stack([random_full_rank_int(rng, ch.num_streams) for _ in range(6)])
+            af = stack.astype(float).reshape((2, 3) + stack.shape[1:])
+            ktilde, l, b = _effective_noise(ch, af)
+            for idx, a in zip(np.ndindex(2, 3), stack):
+                model = if_effective_model(ch, a)
+                np.testing.assert_array_equal(ktilde[idx], model.Ktilde)
+                np.testing.assert_array_equal(l[idx], model.L)
+                np.testing.assert_array_equal(b[idx], model.B)
 
 
 class TestWhiteInputCapacity:
@@ -330,7 +386,7 @@ class TestOptimalA:
             obj_kz = successive_objective(ch, optimal_a(ch, "kz_exact"))
             from ifwb.lattice import brute_force_min_max
 
-            _, obj_bf = brute_force_min_max(sic_cholesky(ch), 5, "successive_if")
+            _, obj_bf = brute_force_min_max(ch.sic_cholesky, 5, "successive_if")
             assert abs(obj_kz - obj_bf) <= 1e-9 * max(1.0, obj_bf)
 
     def test_lll_mode_unimodular(self):
