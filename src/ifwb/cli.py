@@ -307,10 +307,11 @@ def cmd_simulate(args) -> int:
             trials=args.trials if args.trials is not None else int(raw["trials"]),
             seed=args.seed if args.seed is not None else int(raw.get("seed", 0)),
         )
+        noise_scale = float(raw.get("noise_scale", 1.0))
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad simulation config: {exc}") from exc
 
-    result = run_successive_if_trials(cfg, noise_scale=float(raw.get("noise_scale", 1.0)))
+    result = run_successive_if_trials(cfg, noise_scale=noise_scale)
     analytic = if_effective_model(ch, cfg.A).Ktilde
     scale = float(np.abs(analytic).max())
     results = {

@@ -11,6 +11,8 @@ trial by trial.
 Randomness is counter-based: a Philox generator keyed by the seed produces
 the symbol and noise arrays in a fixed layout, so trial t's randomness is a
 pure function of (seed, t) and results do not depend on execution order.
+Trials are decoded CHUNK_TRIALS at a time, so memory beyond the returned
+decisions is about 4 M bytes per trial (the drawn symbol indices).
 """
 
 from __future__ import annotations
@@ -71,49 +73,68 @@ class TrialResult:
     trials: int
 
 
-def _draw(cfg: SimConfig, noise_scale: float):
-    """Counter-based draws: PAM levels (exact odd ints) and receiver noise."""
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    u = rng.integers(0, cfg.pam_points, size=(cfg.trials, cfg.ch.num_streams))
-    noise = rng.standard_normal((cfg.trials, cfg.ch.num_receive))
-    odd = (2 * u - (cfg.pam_points - 1)).astype(np.int64)
-    return odd, noise_scale * noise
+# Trials decoded per pass: small enough that a chunk's arrays stay in cache,
+# large enough that the per-chunk Python overhead is negligible.
+CHUNK_TRIALS = 1 << 14
 
 
-def _received(cfg: SimConfig, odd: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    x = cfg.symbol_scale * odd.astype(float)
-    return x @ cfg.ch.H.T + noise
-
-
-def _slice_grid(values: np.ndarray, scale: float, parity: int) -> np.ndarray:
-    """Round to the nearest point of scale * (2Z + parity), returning grid indices."""
-    return np.rint((values / scale - parity) / 2.0).astype(np.int64)
-
-
-def _solve_streams(cfg: SimConfig, eq_indices: np.ndarray, parity: np.ndarray) -> np.ndarray:
-    """Invert the integer combinations and slice each stream to its constellation."""
-    v_int = 2 * eq_indices + parity[None, :]
-    x_hat = v_int.astype(float) @ np.linalg.inv(cfg.A.astype(float)).T
-    odd_hat = 2 * np.rint((x_hat - 1.0) / 2.0).astype(np.int64) + 1
-    lim = cfg.pam_points - 1
-    return np.clip(odd_hat, -lim, lim)
-
-
-def _finalize(cfg: SimConfig, odd, eq_idx, eq_true, y_eff, v_true) -> TrialResult:
-    stream_hat = _solve_streams(cfg, eq_idx, _parities(cfg))
-    z_eff = y_eff - cfg.symbol_scale * v_true.astype(float)
-    return TrialResult(
-        symbol_error_rate=tuple(np.mean(stream_hat != odd, axis=0).tolist()),
-        equation_error_rate=tuple(np.mean(eq_idx != eq_true, axis=0).tolist()),
-        empirical_Ktilde=z_eff.T @ z_eff / cfg.trials,
-        equation_decisions=eq_idx,
-        stream_decisions=stream_hat,
-        trials=cfg.trials,
-    )
+def _slice_grid(values: np.ndarray, scale: float, parity: int):
+    """Round to the nearest point of scale * (2Z + parity): grid indices and points."""
+    k = np.rint((values / scale - parity) / 2.0).astype(np.int64)
+    return k, scale * (2 * k + parity).astype(float)
 
 
 def _parities(cfg: SimConfig) -> np.ndarray:
     return np.array([int(row.sum()) % 2 for row in cfg.A], dtype=np.int64)
+
+
+def _run_chunks(cfg: SimConfig, noise_scale: float, model, decode) -> TrialResult:
+    """Draw, receive, decode and count the trials CHUNK_TRIALS at a time.
+
+    The symbol indices are drawn in one piece, then the noise chunk by chunk
+    from the same Philox stream, which reproduces one whole-run draw exactly.
+    ``decode(y, y_eff, k)`` writes a chunk's grid indices into ``k``; the
+    combinations are then inverted and sliced to each stream's constellation.
+    """
+    noise_scale = float(noise_scale)
+    if not (math.isfinite(noise_scale) and noise_scale >= 0.0):
+        raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale}")
+    trials, m, q = cfg.trials, cfg.ch.num_streams, cfg.pam_points
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    u = rng.integers(0, q, size=(trials, m), dtype=np.int32)
+    c = cfg.symbol_scale
+    parity = _parities(cfg).astype(float)
+    a_t = cfg.A.T.astype(float)
+    a_inv_t = np.linalg.inv(cfg.A.astype(float)).T
+    eq_idx = np.empty((trials, m), dtype=np.int64)
+    stream_hat = np.empty((trials, m), dtype=np.int64)
+    sym_errors = np.zeros(m, dtype=np.int64)
+    eq_errors = np.zeros(m, dtype=np.int64)
+    zz = np.zeros((m, m))
+    for lo in range(0, trials, CHUNK_TRIALS):
+        hi = min(lo + CHUNK_TRIALS, trials)
+        odd = 2.0 * u[lo:hi] - (q - 1)  # exact odd integers
+        noise = rng.standard_normal((hi - lo, cfg.ch.num_receive))
+        y = (c * odd) @ cfg.ch.H.T + noise_scale * noise
+        y_eff = y @ model.B.T
+        decode(y, y_eff, eq_idx[lo:hi])
+        v_int = 2.0 * eq_idx[lo:hi] + parity
+        v_true = odd @ a_t  # exact small integers
+        eq_errors += np.bincount(np.flatnonzero(v_int != v_true) % m, minlength=m)
+        odd_hat = 2.0 * np.rint((v_int @ a_inv_t - 1.0) / 2.0) + 1.0
+        np.clip(odd_hat, 1 - q, q - 1, out=odd_hat)
+        stream_hat[lo:hi] = odd_hat
+        sym_errors += np.bincount(np.flatnonzero(odd_hat != odd) % m, minlength=m)
+        z = y_eff - c * v_true
+        zz += z.T @ z
+    return TrialResult(
+        symbol_error_rate=tuple((sym_errors / trials).tolist()),
+        equation_error_rate=tuple((eq_errors / trials).tolist()),
+        empirical_Ktilde=zz / trials,
+        equation_decisions=eq_idx,
+        stream_decisions=stream_hat,
+        trials=trials,
+    )
 
 
 def run_successive_if_trials(cfg: SimConfig, noise_scale: float = 1.0) -> TrialResult:
@@ -126,25 +147,19 @@ def run_successive_if_trials(cfg: SimConfig, noise_scale: float = 1.0) -> TrialR
     noiseless diagnostic.
     """
     model = if_effective_model(cfg.ch, cfg.A)
-    odd, noise = _draw(cfg, noise_scale)
-    y = _received(cfg, odd, noise)
-    y_eff = y @ model.B.T
-    v_true = odd @ cfg.A.T
     parity = _parities(cfg)
-    eq_true = (v_true - parity[None, :]) // 2
     c = cfg.symbol_scale
     sq = math.sqrt(cfg.ch.snr)
-    m = cfg.ch.num_streams
-    w = np.zeros((cfg.trials, m))
-    eq_idx = np.zeros((cfg.trials, m), dtype=np.int64)
-    for step in range(m):
-        predicted = sq * (w[:, :step] @ model.L[step, :step]) if step else 0.0
-        target = y_eff[:, step] - predicted
-        k_hat = _slice_grid(target, c, parity[step])
-        v_hat = c * (2 * k_hat + parity[step]).astype(float)
-        w[:, step] = (target - v_hat) / (sq * model.L[step, step])
-        eq_idx[:, step] = k_hat
-    return _finalize(cfg, odd, eq_idx, eq_true, y_eff, v_true)
+
+    def decode(y, y_eff, k):
+        w = np.empty_like(y_eff)
+        for step in range(k.shape[1]):
+            predicted = sq * (w[:, :step] @ model.L[step, :step]) if step else 0.0
+            target = y_eff[:, step] - predicted
+            k[:, step], v_hat = _slice_grid(target, c, parity[step])
+            w[:, step] = (target - v_hat) / (sq * model.L[step, step])
+
+    return _run_chunks(cfg, noise_scale, model, decode)
 
 
 def run_lr_aided_sic_trials(cfg: SimConfig, noise_scale: float = 1.0) -> TrialResult:
@@ -153,28 +168,25 @@ def run_lr_aided_sic_trials(cfg: SimConfig, noise_scale: float = 1.0) -> TrialRe
     Uses the monic feedback form: the forward filter is R B and decided
     combinations are fed back through R - I. For any full-rank A this makes
     the same per-trial decisions as run_successive_if_trials, realizing
-    lattice-reduction-aided SIC when A comes from a reduction.
+    lattice-reduction-aided SIC when A comes from a reduction; the two differ
+    only where a statistic lies exactly on a slicing boundary, which rounding
+    then breaks either way.
     """
     filters = gdfe_filters(cfg.ch, cfg.A)
     model = if_effective_model(cfg.ch, cfg.A)
-    odd, noise = _draw(cfg, noise_scale)
-    y = _received(cfg, odd, noise)
-    y_fwd = y @ filters.B.T
-    v_true = odd @ cfg.A.T
     parity = _parities(cfg)
-    eq_true = (v_true - parity[None, :]) // 2
     c = cfg.symbol_scale
-    m = cfg.ch.num_streams
-    v_hat = np.zeros((cfg.trials, m))
-    eq_idx = np.zeros((cfg.trials, m), dtype=np.int64)
-    for step in range(m):
-        fed_back = v_hat[:, :step] @ filters.Cfeedback[step, :step] if step else 0.0
-        target = y_fwd[:, step] - fed_back
-        k_hat = _slice_grid(target, c, parity[step])
-        v_hat[:, step] = c * (2 * k_hat + parity[step]).astype(float)
-        eq_idx[:, step] = k_hat
-    y_eff = y @ model.B.T  # effective noise bookkeeping matches the prediction path
-    return _finalize(cfg, odd, eq_idx, eq_true, y_eff, v_true)
+
+    def decode(y, y_eff, k):
+        y_fwd = y @ filters.B.T
+        v_hat = np.empty_like(y_fwd)
+        for step in range(k.shape[1]):
+            fed_back = v_hat[:, :step] @ filters.Cfeedback[step, :step] if step else 0.0
+            target = y_fwd[:, step] - fed_back
+            k[:, step], v_hat[:, step] = _slice_grid(target, c, parity[step])
+
+    # y_eff (the prediction path's equalizer output) carries the effective-noise bookkeeping
+    return _run_chunks(cfg, noise_scale, model, decode)
 
 
 def run_mmse_sic_trials(cfg: SimConfig, noise_scale: float = 1.0) -> TrialResult:

@@ -199,6 +199,20 @@ class TestSimulate:
         assert main(["simulate", "--config", str(path)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "noise_scale, message",
+        [("NaN", "noise_scale must be finite"), ("Infinity", "noise_scale must be finite"),
+         ("-1.0", "noise_scale must be finite"), ('"x"', "bad simulation config: ")],
+    )
+    def test_rejects_bad_noise_scale(self, capsys, tmp_path, noise_scale, message):
+        path = tmp_path / "noise.json"
+        path.write_text('{"channel": [[1.0]], "snr_db": 10, "a_matrix": [[1]], '
+                        f'"trials": 100, "noise_scale": {noise_scale}}}')
+        assert main(["simulate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_rejects_garbage_config(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
