@@ -7,8 +7,14 @@ a method tag. Transforms are tracked in exact integer arithmetic (Python
 ints), so det(U) = +-1 is checked exactly, not numerically.
 
 Exact routines (shortest vector, KZ) are guarded to dimension 10; they rely
-on depth-first enumeration with a radius seeded by the shortest LLL-reduced
-basis vector, which makes the search provably exhaustive.
+on depth-first enumeration with a radius seeded by an actual lattice vector,
+which makes the search provably exhaustive. Exact KZ works on one basis: LLL
+once, then at each level k the shortest vector of the lattice projected
+orthogonally to the first k columns is enumerated from the current
+Gram-Schmidt data, inserted at k by unimodular column operations, and the
+columns after k are LLL-reduced again, so the transform stays reduced (Zhang,
+Qiao & Wei, IEEE TSP 2012; the insertion step of Schnorr & Euchner's BKZ,
+1994).
 """
 
 from __future__ import annotations
@@ -63,28 +69,6 @@ def int_det(a) -> int:
     return sign * mat[n - 1][n - 1]
 
 
-def int_rank(rows) -> int:
-    """Exact rank of an integer matrix (rows given as an iterable of vectors)."""
-    mat = [[int(v) for v in row] for row in rows]
-    if not mat:
-        return 0
-    rank = 0
-    cols = len(mat[0])
-    for c in range(cols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        for i in range(rank + 1, len(mat)):
-            if mat[i][c] != 0:
-                p, q = mat[rank][c], mat[i][c]
-                mat[i] = [p * mat[i][j] - q * mat[rank][j] for j in range(cols)]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
 def is_unimodular(u) -> bool:
     """True iff u is integer with determinant exactly +-1."""
     arr = np.asarray(u)
@@ -93,49 +77,9 @@ def is_unimodular(u) -> bool:
     return abs(int_det(arr)) == 1
 
 
-def unimodular_completion(z) -> np.ndarray:
-    """Unimodular integer matrix whose first column is the primitive vector z.
-
-    Reduces z to a unit vector with recorded elementary row operations, then
-    applies the inverse operations to the identity. Requires gcd(z) = 1.
-    """
-    work = [int(v) for v in z]
-    m = len(work)
-    if math.gcd(*work) != 1:
-        raise ValueError("completion requires a primitive integer vector")
-    ops = []  # ("add", i, j, q): row_i += q * row_j ; ("swap", i, j) ; ("neg", i)
-    while True:
-        nz = [k for k, v in enumerate(work) if v != 0]
-        if len(nz) <= 1:
-            break
-        p = min(nz, key=lambda k: abs(work[k]))
-        for k in nz:
-            if k == p:
-                continue
-            q = work[k] // work[p]
-            if q != 0:
-                work[k] -= q * work[p]
-                ops.append(("add", k, p, -q))
-    s = next(k for k, v in enumerate(work) if v != 0)
-    if work[s] < 0:
-        ops.append(("neg", s))
-        work[s] = -work[s]
-    if work[s] != 1:
-        raise ValueError("completion requires a primitive integer vector")
-    if s != 0:
-        ops.append(("swap", 0, s))
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    for op in reversed(ops):
-        if op[0] == "add":
-            _, i, j, q = op
-            u[i] = [a - q * b for a, b in zip(u[i], u[j])]  # inverse of row_i += q*row_j
-        elif op[0] == "neg":
-            u[op[1]] = [-a for a in u[op[1]]]
-        else:
-            _, i, j = op
-            u[i], u[j] = u[j], u[i]
-    out = np.array(u, dtype=object)
-    return out
+def _identity(m: int) -> np.ndarray:
+    """m x m identity as an exact object-int matrix."""
+    return np.array([[1 if i == j else 0 for j in range(m)] for i in range(m)], dtype=object)
 
 
 def _as_int_transform(u_obj: np.ndarray) -> np.ndarray:
@@ -257,8 +201,12 @@ def _swap_gso(mu: np.ndarray, nsq: np.ndarray, k: int) -> None:
     mu[k + 1 :, k - 1] = t + mu[k, k - 1] * mu[k + 1 :, k]
 
 
-def _lll_inplace(cols: np.ndarray, u: np.ndarray, delta: float) -> None:
+def _lll_inplace(cols: np.ndarray, u: np.ndarray, delta: float, lo: int = 0):
     """LLL-reduce cols in place, mirroring every integer operation on u.
+
+    Columns before lo are held fixed: they serve for size reduction but are
+    never swapped, so only the projection of cols[:, lo:] orthogonal to them
+    is reduced. Returns the Gram-Schmidt data (mu, nsq) of the result.
 
     The Gram-Schmidt data is computed once and then kept current by the
     incremental size-reduction and swap updates of Cohen's Alg. 2.6.3. It is
@@ -267,7 +215,7 @@ def _lll_inplace(cols: np.ndarray, u: np.ndarray, delta: float) -> None:
     """
     m = cols.shape[1]
     _, mu, nsq = _gso(cols)
-    k = 1
+    k = max(lo, 1)
     sweeps = 0
     max_sweeps = 10000 * m * m + 1000
     while k < m:
@@ -284,13 +232,14 @@ def _lll_inplace(cols: np.ndarray, u: np.ndarray, delta: float) -> None:
                 else:
                     mu[k, :j] -= q * mu[j, :j]
                     mu[k, j] -= q
-        if nsq[k] >= (delta - mu[k, k - 1] ** 2) * nsq[k - 1]:
+        if k == lo or nsq[k] >= (delta - mu[k, k - 1] ** 2) * nsq[k - 1]:
             k += 1
         else:
             cols[:, [k - 1, k]] = cols[:, [k, k - 1]]
             u[:, [k - 1, k]] = u[:, [k, k - 1]]
             _swap_gso(mu, nsq, k)
-            k = max(k - 1, 1)
+            k = max(k - 1, lo, 1)
+    return mu, nsq
 
 
 def lll_reduce(basis, delta: float = 0.75) -> ReductionReport:
@@ -305,7 +254,7 @@ def lll_reduce(basis, delta: float = 0.75) -> ReductionReport:
     original = validate_basis(basis)
     cols = original.copy()
     m = cols.shape[1]
-    u = np.array([[1 if i == j else 0 for j in range(m)] for i in range(m)], dtype=object)
+    u = _identity(m)
     _lll_inplace(cols, u, delta)
     return _make_report(original, u, "lll")
 
@@ -365,7 +314,7 @@ def shortest_vector(basis):
     if m > MAX_ENUM_DIM:
         raise DimensionTooLarge(f"exact enumeration guarded to dimension {MAX_ENUM_DIM}")
     cols = original.copy()
-    u = np.array([[1 if i == j else 0 for j in range(m)] for i in range(m)], dtype=object)
+    u = _identity(m)
     _lll_inplace(cols, u, 0.99)
     _, mu, nsq = _gso(cols)
     col_norms = np.sum(cols * cols, axis=0)
@@ -396,69 +345,65 @@ def _size_reduce(cols: np.ndarray, u: np.ndarray) -> None:
                 u[:, j] = u[:, j] - q * u[:, i]
 
 
-def _kz_transform(cols: np.ndarray, exact: bool) -> np.ndarray:
-    """Recursive KZ transform (object-int matrix) for the given columns.
+def _insert(cols: np.ndarray, u: np.ndarray, k: int, z) -> None:
+    """Make cols[:, k:] @ z column k by unimodular operations on cols[:, k:].
 
-    Picks a first vector (exact shortest by enumeration, or the first LLL
-    vector for the successive-LLL approximation), projects the remaining
-    columns onto its orthogonal complement and recurses on the projected
-    lattice.
+    Euclid's algorithm on the coefficients: z_j -= q z_p together with
+    b_p += q b_j keeps sum_i z_i b_i fixed. Once one coefficient is left it
+    is +-1 (z is primitive), and its column, signed, is swapped to k.
     """
-    n, m = cols.shape
-    ident = np.array([[1 if i == j else 0 for j in range(m)] for i in range(m)], dtype=object)
-    if m == 1:
-        return ident
-
-    if exact:
-        work = cols.copy()
-        u_lll = ident.copy()
-        _lll_inplace(work, u_lll, 0.99)
-        _, mu, nsq = _gso(work)
-        col_norms = np.sum(work * work, axis=0)
-        seed = int(np.argmin(col_norms))
-        init_z = np.zeros(m, dtype=np.int64)
-        init_z[seed] = 1
-        z, _ = _enumerate_shortest(mu, nsq, init_z, col_norms[seed])
-        coeffs = u_lll @ z.astype(object)
-        g = math.gcd(*[int(v) for v in coeffs])
-        if g > 1:  # a true shortest vector is primitive; guard against fp artifacts
-            coeffs = np.array([int(v) // g for v in coeffs], dtype=object)
-        u1 = unimodular_completion(coeffs)
-    else:
-        u1 = ident.copy()
-        work = cols.copy()
-        _lll_inplace(work, u1, 0.99)
-
-    b1 = cols @ u1.astype(float)
-    f1 = b1[:, 0]
-    f1sq = f1 @ f1
-    if f1sq <= 0.0:
-        raise DegenerateBasis("zero vector selected during KZ recursion")
-    tail = b1[:, 1:]
-    proj = tail - np.outer(f1, (f1 @ tail) / f1sq)
-    u_sub = _kz_transform(proj, exact)
-    u2 = np.array(
-        [[1 if i == j else 0 for j in range(m)] for i in range(m)], dtype=object
-    )
-    u2[1:, 1:] = u_sub
-    return u1 @ u2
+    g = math.gcd(*[int(v) for v in z])  # a shortest vector is primitive; guard fp artifacts
+    z = [int(v) // g for v in z]
+    while True:
+        nz = [i for i, v in enumerate(z) if v]
+        if len(nz) == 1:
+            break
+        p = min(nz, key=lambda i: abs(z[i]))
+        for j in nz:
+            q = z[j] // z[p]
+            if j != p and q:
+                z[j] -= q * z[p]
+                cols[:, k + p] += q * cols[:, k + j]
+                u[:, k + p] = u[:, k + p] + q * u[:, k + j]
+    s = k + nz[0]
+    if z[nz[0]] < 0:
+        cols[:, s] = -cols[:, s]
+        u[:, s] = -u[:, s]
+    cols[:, [k, s]] = cols[:, [s, k]]
+    u[:, [k, s]] = u[:, [s, k]]
 
 
 def _kz_common(basis, exact: bool, method: str) -> ReductionReport:
+    """LLL once; with exact, insert each level's shortest projected vector; size-reduce."""
     original = validate_basis(basis)
-    u = _kz_transform(original.copy(), exact)
+    m = original.shape[1]
+    cols = original.copy()
+    u = _identity(m)
+    mu, nsq = _lll_inplace(cols, u, 0.99)
+    for k in range(m - 1 if exact else 0):  # successive LLL keeps LLL's column k
+        e0 = np.zeros(m - k, dtype=np.int64)
+        e0[0] = 1
+        z, _ = _enumerate_shortest(mu[k:, k:], nsq[k:], e0, nsq[k])
+        if z[1:].any():
+            _insert(cols, u, k, z)
+            mu, nsq = _lll_inplace(cols, u, 0.99, lo=k + 1)
     cols = original @ u.astype(float)
     _size_reduce(cols, u)
     return _make_report(original, u, method)
 
 
 def kz_reduce(basis) -> ReductionReport:
-    """Exact Korkin-Zolotarev reduction.
+    """Exact Korkin-Zolotarev reduction by insertion into one LLL basis.
 
     Each Gram-Schmidt vector of the output is a shortest nonzero vector of
     the correspondingly projected lattice, and all Gram-Schmidt coefficients
-    satisfy |r| <= 1/2. Guarded to dimension 10 because every recursion level
-    runs an exact shortest-vector enumeration.
+    satisfy |r| <= 1/2. The basis is LLL-reduced once; each level's shortest
+    vector is then inserted into that one basis and the levels after it are
+    LLL-reduced again, so every step is unimodular and the transform stays
+    reduced (Zhang, Qiao & Wei, "HKZ and Minkowski reduction algorithms for
+    lattice-reduced MIMO detection", IEEE TSP 60(11), 2012; the insertion
+    step of Schnorr & Euchner's BKZ, 1994). Guarded to dimension 10 because
+    every level runs an exact enumeration.
     """
     b = as_matrix(basis, "basis")
     if b.shape[1] > MAX_ENUM_DIM:
@@ -469,10 +414,12 @@ def kz_reduce(basis) -> ReductionReport:
 def kz_approx_successive_lll(basis) -> ReductionReport:
     """KZ approximation: LLL applied successively on shrinking projections.
 
-    Identical recursion to kz_reduce but the first vector at each level is
-    taken from LLL instead of exact enumeration; the result is exact KZ
-    whenever those LLL first vectors happen to be true shortest vectors.
-    No dimension guard (nothing is enumerated).
+    The first vector at each level is taken from LLL instead of exact
+    enumeration; the result is exact KZ whenever those LLL first vectors
+    happen to be true shortest vectors. The projections of an LLL-reduced
+    basis are LLL-reduced themselves, so one LLL pass (delta = 0.99) and a
+    size reduction give the whole result. No dimension guard (nothing is
+    enumerated).
     """
     return _kz_common(as_matrix(basis, "basis"), exact=False, method="kz_successive_lll")
 
@@ -545,7 +492,6 @@ def brute_force_min_max(g, entry_bound: int, objective: str = "successive_if"):
     vecs = cand.astype(float) @ g  # row i = a_i^T G
     norms_sq = np.sum(vecs * vecs, axis=1)
     gram = g @ g.T
-    rank_thresh = 1e-9 * float(norms_sq.max())
     successive = objective == "successive_if"
 
     def chol_value(a_rows: np.ndarray) -> float:
@@ -574,12 +520,24 @@ def brute_force_min_max(g, entry_bound: int, objective: str = "successive_if"):
     ident = [reps.index(tuple(int(i == j) for j in range(m))) for i in range(m)]
     consider(ident, chol_value(np.eye(m)))  # always feasible, seeds the bound
 
-    def independent(chosen: list, idx: int, resid: float) -> bool:
-        if resid > rank_thresh:
-            return True  # a dependent row would have residual at fp-noise level
-        return int_rank(cand[chosen + [idx]]) == len(chosen) + 1
+    c = list(cand.T)
+
+    def independent(chosen: list) -> np.ndarray:
+        """Exact mask of the candidates independent of the chosen rows (M <= 3)."""
+        if not chosen:
+            return np.ones(len(reps), dtype=bool)
+        r = reps[chosen[0]]
+        if m == 2:  # 2x2 determinant
+            return r[0] * c[1] - r[1] * c[0] != 0
+        if len(chosen) == 1:  # nonzero cross product
+            return ((r[1] * c[2] - r[2] * c[1] != 0) | (r[2] * c[0] - r[0] * c[2] != 0)
+                    | (r[0] * c[1] - r[1] * c[0] != 0))
+        s = reps[chosen[1]]  # nonzero triple product
+        return ((r[1] * s[2] - r[2] * s[1]) * c[0] + (r[2] * s[0] - r[0] * s[2]) * c[1]
+                + (r[0] * s[1] - r[1] * s[0]) * c[2] != 0)
 
     def descend(chosen: list, resid_sq: np.ndarray, ortho: list, partial_max: float) -> None:
+        indep = independent(chosen)
         level_val = resid_sq if successive else norms_sq
         order = np.argsort(level_val, kind="stable")
         last = len(chosen) == m - 1
@@ -593,13 +551,13 @@ def brute_force_min_max(g, entry_bound: int, objective: str = "successive_if"):
             if last:
                 if node_best is not None and value > node_best + tie:
                     break  # worse than this node's own optimum: never a global tie
-                if not independent(chosen, idx, float(resid_sq[idx])):
+                if not indep[idx]:
                     continue
                 if node_best is None:
                     node_best = value
                 consider(chosen + [idx], value)
             else:
-                if not independent(chosen, idx, float(resid_sq[idx])):
+                if not indep[idx]:
                     continue
                 v = vecs[idx].copy()
                 for q in ortho:

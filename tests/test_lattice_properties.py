@@ -1,8 +1,7 @@
 """Property-based checks of the lattice layer on channel-derived bases.
 
 Bases are G^T with G = chol((I + snr H^T H)^{-1}), the lattice whose KZ basis
-gives the S-IF integer matrix, over SNR 0-120 dB and N != M (exact KZ is
-checked against its verifier up to 60 dB only, see below).
+gives the S-IF integer matrix, over SNR 0-120 dB and N != M.
 """
 
 import numpy as np
@@ -37,10 +36,8 @@ def test_lll_output_is_size_reduced_and_lovasz(g, delta):
 
 
 @PROPERTY_SETTINGS
-@given(g=channel_g(dims=range(2, 7), max_snr_db=60.0))
+@given(g=channel_g(dims=range(2, 7)))
 def test_kz_output_passes_verifier(g):
-    # from 80 dB on, exact KZ at M = 6 can fail the verifier; pinned by
-    # test_lattice.py::test_kz_at_100_db_six_streams
     assert is_kz_reduced(kz_reduce(g.T).reduced_basis)
 
 
@@ -49,8 +46,10 @@ def test_kz_output_passes_verifier(g):
 def test_kz_never_worse_than_bounded_oracle(g):
     """KZ optimizes over all integer matrices, the oracle over [-3, 3] only.
 
-    At high SNR the optimum can have entries beyond the box, so only
-    obj_kz <= obj_bf holds in general, not equality.
+    KZ = brute force is meaningful only when the optimum lies inside the
+    oracle's box. At high SNR it often does not: of 90 2x2 channels with
+    entries uniform in [-3, 3] at 60-120 dB, 11 had KZ matrices with entries
+    beyond 3, up to 31. So only obj_kz <= obj_bf holds in general.
     """
     a = kz_reduce(g.T).transform.T.astype(float)
     core = a @ (g @ g.T) @ a.T  # symmetrized as in rates.if_effective_model
