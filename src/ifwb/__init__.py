@@ -9,7 +9,6 @@ from .errors import (
     NotPositiveDefinite,
     NotSymmetric,
     RankDeficient,
-    ShapeMismatch,
     SingularA,
     WrongDimension,
 )

@@ -43,7 +43,3 @@ class InfeasiblePermutation(IfwbError):
 
 class WrongDimension(IfwbError):
     """Operation defined only for a specific number of streams."""
-
-
-class ShapeMismatch(IfwbError):
-    """Sample matrices do not all share the same shape."""

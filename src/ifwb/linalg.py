@@ -102,12 +102,6 @@ def gram_schmidt(f) -> tuple[np.ndarray, np.ndarray]:
     return fstar, r
 
 
-def gram_schmidt_norms(f) -> np.ndarray:
-    """Euclidean norms of the Gram-Schmidt vectors of F's columns."""
-    fstar, _ = gram_schmidt(f)
-    return np.linalg.norm(fstar, axis=0)
-
-
 def complex_to_real(hc) -> np.ndarray:
     """Real 2Nx2M block representation [[Re, -Im], [Im, Re]] of a complex NxM matrix.
 
@@ -122,9 +116,3 @@ def complex_to_real(hc) -> np.ndarray:
         raise ValueError("complex matrix contains NaN or Inf")
     re, im = hc.real, hc.imag
     return np.block([[re, -im], [im, re]])
-
-
-def realify_vector(xc) -> np.ndarray:
-    """Stack real parts over imaginary parts of a complex vector."""
-    xc = np.asarray(xc, dtype=complex)
-    return np.concatenate([xc.real, xc.imag])

@@ -18,10 +18,9 @@ Rates are in bits per real channel use; logs are base 2 throughout.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -61,6 +60,8 @@ class ChannelInstance:
         object.__setattr__(self, "H", h.copy())
         object.__setattr__(self, "snr", snr)
         self.H.setflags(write=False)
+        # if_effective_model's models, keyed by the validated int64 A's bytes
+        object.__setattr__(self, "_effective_models", {})
 
     @property
     def num_streams(self) -> int:
@@ -268,14 +269,20 @@ def if_effective_model(ch: ChannelInstance, a) -> EffectiveNoiseModel:
     B = A H^T (I/snr + H H^T)^{-1} and Ktilde = snr A (I + snr H^T H)^{-1} A^T.
     The two expressions for Ktilde (direct filter algebra and the
     matrix-inversion-lemma form) are cross-checked to 1e-8 relative, and
-    Ktilde against snr L L^T to 1e-9.
+    Ktilde against snr L L^T to 1e-9. The model is built once per (channel,
+    A) and shared by later calls; its arrays are read-only.
     """
-    a = _validate_full_rank(a)
-    m = ch.num_streams
-    if a.shape[0] != m:
-        raise ValueError(f"A must be {m}x{m} for this channel, got {a.shape}")
-    ktilde, l, b = _effective_noise(ch, a.astype(float))
-    return EffectiveNoiseModel(A=a, B=b, Ktilde=ktilde, L=l, snr=ch.snr)
+    key = as_integer_matrix(a).tobytes()
+    if key not in ch._effective_models:
+        a = _validate_full_rank(a)
+        m = ch.num_streams
+        if a.shape[0] != m:
+            raise ValueError(f"A must be {m}x{m} for this channel, got {a.shape}")
+        k, l, b = _effective_noise(ch, a.astype(float))
+        ch._effective_models[key] = EffectiveNoiseModel(
+            A=_read_only(a), B=_read_only(b), Ktilde=_read_only(k), L=_read_only(l), snr=ch.snr
+        )
+    return ch._effective_models[key]
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +336,11 @@ def successive_if_rates(ch: ChannelInstance, a) -> SuccessiveIfRates:
     model = if_effective_model(ch, a)
     diag = np.diag(model.L)
     per_step = tuple(float(-np.log2(d)) for d in diag)
-    det = abs(int_det(model.A))
     return SuccessiveIfRates(
         per_step=per_step,
         symmetric_total=float(len(per_step) * min(per_step)),
         sum_rate=float(sum(per_step)),
-        det_gap=float(math.log2(det)),
+        det_gap=float(math.log2(abs(int_det(model.A)))),
     )
 
 
@@ -369,10 +375,24 @@ def _is_feasible(a: np.ndarray, perm: tuple) -> bool:
 
 
 def _feasible_permutations(a: np.ndarray) -> list[tuple]:
-    """All permutations realizable by elimination without row swaps or scaling."""
+    """All permutations realizable by elimination without row swaps or scaling.
+
+    That needs det A[:k, S] != 0 for the set S of the first k columns, for
+    every k; each of the at most 2^M - 1 sets' minors is computed once.
+    Prefixes grow in increasing column order (itertools.permutations order).
+    """
     m = a.shape[0]
     _guard_pseudo_tri_dim(m)
-    return [perm for perm in itertools.permutations(range(m)) if _is_feasible(a, perm)]
+
+    @cache
+    def nonzero(cols: frozenset) -> bool:
+        return int_det(a[: len(cols), sorted(cols)]) != 0
+
+    prefixes = [()]
+    for _ in range(m):
+        prefixes = [p + (c,) for p in prefixes for c in range(m)
+                    if c not in p and nonzero(frozenset(p + (c,)))]
+    return prefixes
 
 
 def pseudo_triangularize(a) -> list[PseudoTriangularization]:

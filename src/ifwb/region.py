@@ -2,9 +2,11 @@
 
 Scans a bounded box of integer target matrices, keeps every feasible
 allocation plus the two plain-SIC corner points, and extracts the Pareto
-frontier together with the capacity pentagon. The box is evaluated in one
-vectorized pass, and results are sorted by rate tuple before deduplication
-and frontier extraction, so enumeration is deterministic.
+frontier together with the capacity pentagon. A row sign of A changes
+neither its rates nor its feasible permutations, so one vectorized pass
+covers one matrix per row-sign class, a quarter of the box. Results are
+sorted by rate tuple before deduplication and frontier extraction, so
+enumeration is deterministic.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooLarge, IfwbError, WrongDimension
-from .lattice import int_det
 from .rates import ChannelInstance, _effective_noise, mmse_sic_plan, white_input_capacity
 
 MAX_COEFF_BOUND = 5
@@ -33,7 +34,7 @@ class RatePoint:
 
     @property
     def det_a(self) -> int:
-        return int_det(np.array(self.A, dtype=np.int64))
+        return self.A[0][0] * self.A[1][1] - self.A[0][1] * self.A[1][0]
 
 
 @dataclass(frozen=True)
@@ -78,24 +79,39 @@ def pentagon_contains(ch: ChannelInstance, rates, slack: float = 1e-9) -> bool:
     return bool(_inside(_pentagon_constants(ch), float(rates[0]), float(rates[1]), slack))
 
 
+def _class_representatives(bound: int) -> np.ndarray:
+    """One matrix per row-sign class {D A} of the box, then the identity.
+
+    The rows lexicographically before (0, 0) are those whose first nonzero
+    entry is negative, so each matrix is the smallest of its class, the one
+    the sorted deduplication keeps, and the stack is in lexicographic order.
+    The identity, a plan even when not monotone because it is plain SIC,
+    sorts after it. ((side^2 - 1) / 2)^2 + 1 matrices, side = 2 bound + 1.
+    """
+    side = 2 * bound + 1
+    rows = (np.indices((side, side), dtype=np.int64).reshape(2, -1).T - bound)[: side * side // 2]
+    pairs = np.indices((len(rows),) * 2).reshape(2, -1)
+    return np.concatenate([rows[pairs].transpose(1, 0, 2), np.eye(2, dtype=np.int64)[None]])
+
+
 def _scan_box(ch: ChannelInstance, bound: int):
     """Monotone-feasible successive-IF plans for every full-rank A in the box.
 
-    All (2 bound + 1)^4 matrices form one stack, which rates._effective_noise
-    factors and checks matrix by matrix as for rates.if_effective_model; the
-    diagonal of each Cholesky factor L gives the per-step rates -log2 l_mm.
-    For full-rank 2x2 A, permutation (0, 1) is feasible iff a00 != 0 and
-    (1, 0) iff a01 != 0. Returns the matrices, indices into _PERMUTATIONS and
-    the stream rates clamped at zero, ordered by A lexicographically, then by
+    Negating a row of A negates rows and columns of A S A^T, B and B H - A
+    exactly, so the Cholesky diagonal, both checks and feasibility are the
+    same bit for bit across a row-sign class. The nonsingular class
+    representatives form one stack, which rates._effective_noise factors and
+    checks matrix by matrix; the diagonal of each factor L gives the per-step
+    rates -log2 l_mm. For full-rank 2x2 A, permutation (0, 1) is feasible iff
+    a00 != 0 and (1, 0) iff a01 != 0. Returns the matrices, indices into
+    _PERMUTATIONS and the stream rates clamped at zero, ordered by A, then by
     permutation.
     """
-    side = 2 * bound + 1
-    a = (np.indices((side,) * 4, dtype=np.int64).reshape(4, -1).T - bound).reshape(-1, 2, 2)
+    a = _class_representatives(bound)
     a = a[a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0] != 0]
     _, l, _ = _effective_noise(ch, a.astype(float))
     diag = np.diagonal(l, axis1=1, axis2=2)
-    diag_sq = diag**2
-    monotone = diag_sq[:, 0] <= diag_sq[:, 1] * (1.0 + 1e-12)
+    monotone = diag[:, 0] ** 2 <= diag[:, 1] ** 2 * (1.0 + 1e-12)
     identity = np.all(a == np.eye(2, dtype=np.int64), axis=(1, 2))
     index, perm = np.nonzero((monotone | identity)[:, None] & (a[:, 0, :] != 0))
     per_step = -np.log2(diag)

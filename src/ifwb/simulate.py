@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
 from .rates import ChannelInstance, as_integer_matrix, gdfe_filters, if_effective_model
 
 
@@ -200,23 +199,3 @@ def run_mmse_sic_trials(cfg: SimConfig, noise_scale: float = 1.0) -> TrialResult
         seed=cfg.seed,
     )
     return run_successive_if_trials(forced, noise_scale=noise_scale)
-
-
-def empirical_generalized_covariance(samples) -> np.ndarray:
-    """Average of (1/n) X X^T over sample matrices X of identical shape M x n.
-
-    Entry (i, j) estimates the time-averaged inner product between rows i
-    and j; the result is symmetric by construction.
-    """
-    mats = [np.asarray(s, dtype=float) for s in samples]
-    if not mats:
-        raise ShapeMismatch("need at least one sample")
-    shape = mats[0].shape
-    if len(shape) != 2 or shape[1] < 1:
-        raise ShapeMismatch(f"samples must be M x n matrices, got shape {shape}")
-    acc = np.zeros((shape[0], shape[0]))
-    for s in mats:
-        if s.shape != shape:
-            raise ShapeMismatch(f"sample shape {s.shape} differs from {shape}")
-        acc += s @ s.T
-    return acc / (len(mats) * shape[1])

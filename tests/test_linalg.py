@@ -6,8 +6,6 @@ from ifwb.linalg import (
     cholesky_lower,
     complex_to_real,
     gram_schmidt,
-    gram_schmidt_norms,
-    realify_vector,
 )
 
 
@@ -118,7 +116,7 @@ class TestGramSchmidt:
         for _ in range(20):
             f = rng.standard_normal((4, 4))
             det = abs(np.linalg.det(f))
-            prod = float(np.prod(gram_schmidt_norms(f)))
+            prod = float(np.prod(np.linalg.norm(gram_schmidt(f)[0], axis=0)))
             assert abs(det - prod) <= 1e-9 * max(det, 1.0)
 
     def test_rank_deficient(self):
@@ -127,6 +125,11 @@ class TestGramSchmidt:
             gram_schmidt(f)
         with pytest.raises(RankDeficient):
             gram_schmidt(np.ones((2, 3)))
+
+
+def _realify(xc):
+    """Real parts stacked over imaginary parts of a complex vector."""
+    return np.concatenate([xc.real, xc.imag])
 
 
 class TestComplexToReal:
@@ -141,8 +144,8 @@ class TestComplexToReal:
         for _ in range(20):
             hc = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             xc = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            lhs = realify_vector(hc @ xc)
-            rhs = complex_to_real(hc) @ realify_vector(xc)
+            lhs = _realify(hc @ xc)
+            rhs = complex_to_real(hc) @ _realify(xc)
             assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(lhs).max())
 
     def test_frobenius_scaling(self):

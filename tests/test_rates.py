@@ -1,14 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from conftest import EXAMPLE1_A, random_channel, random_full_rank_int
+from ifwb import rates as rates_module
 from ifwb.errors import DimensionTooLarge, InfeasiblePermutation, SingularA
 from ifwb.lattice import int_det
 from ifwb.rates import (
     ChannelInstance,
     _effective_noise,
+    _feasible_permutations,
+    _is_feasible,
     allocate_rates,
     decoding_error_bounds,
     gdfe_filters,
@@ -80,6 +84,52 @@ class TestEffectiveNoiseKernel:
                 np.testing.assert_array_equal(ktilde[idx], model.Ktilde)
                 np.testing.assert_array_equal(l[idx], model.L)
                 np.testing.assert_array_equal(b[idx], model.B)
+
+
+class TestEffectiveModelSharing:
+    def test_one_model_per_channel_and_matrix(self, example1):
+        model = if_effective_model(example1, EXAMPLE1_A)
+        assert if_effective_model(example1, EXAMPLE1_A.tolist()) is model
+        assert if_effective_model(example1, EXAMPLE1_A.astype(float)) is model
+        assert if_effective_model(example1, [[1, 0], [0, 1]]) is not model
+        other = ChannelInstance(example1.H, example1.snr)
+        again = if_effective_model(other, EXAMPLE1_A)
+        assert again is not model
+        for name in ("A", "B", "Ktilde", "L"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(model, name))
+
+    def test_arrays_read_only_and_owned(self, example1):
+        a = np.array([[2, 1], [1, 1]], dtype=np.int64)
+        model = if_effective_model(example1, a)
+        a[0, 0] = 7
+        np.testing.assert_array_equal(model.A, [[2, 1], [1, 1]])
+        for name in ("A", "B", "Ktilde", "L"):
+            with pytest.raises(ValueError):
+                getattr(model, name)[0, 0] = 0
+
+    def test_invalid_matrices_raise_every_time(self, example1):
+        for _ in range(2):
+            with pytest.raises(SingularA):
+                if_effective_model(example1, [[1, 2], [2, 4]])
+            with pytest.raises(ValueError):
+                if_effective_model(example1, np.eye(3, dtype=int))
+
+    def test_rate_functions_share_one_factorization(self, monkeypatch):
+        calls = []
+
+        def counting(ch, af):
+            calls.append(af.shape)
+            return _effective_noise(ch, af)
+
+        monkeypatch.setattr(rates_module, "_effective_noise", counting)
+        ch = ChannelInstance(np.array([[np.sqrt(2.0), 1.0]]), 10.0**1.5)
+        if_rates(ch, EXAMPLE1_A)
+        successive_if_rates(ch, EXAMPLE1_A)
+        for tri in pseudo_triangularize(EXAMPLE1_A):
+            allocate_rates(ch, EXAMPLE1_A, tri.permutation)
+        successive_objective(ch, EXAMPLE1_A)
+        gdfe_filters(ch, EXAMPLE1_A)
+        assert calls == [(2, 2)]
 
 
 class TestWhiteInputCapacity:
@@ -311,6 +361,34 @@ class TestPseudoTriangularize:
             pseudo_triangularize([[1, 1], [1, 1]])
         with pytest.raises(DimensionTooLarge):
             pseudo_triangularize(np.eye(7, dtype=int))
+
+
+class TestFeasiblePermutations:
+    def test_matches_per_permutation_leading_minors(self):
+        rng = np.random.default_rng(39)
+        for m in range(1, 7):
+            for _ in range(40 if m < 6 else 10):
+                density = rng.uniform(0.3, 1.0)
+                while True:
+                    a = rng.integers(-2, 3, size=(m, m)) * (rng.random((m, m)) < density)
+                    if int_det(a) != 0:
+                        break
+                want = [p for p in itertools.permutations(range(m)) if _is_feasible(a, p)]
+                assert _feasible_permutations(a) == want
+
+    def test_each_column_set_minor_once(self, monkeypatch):
+        calls = []
+
+        def counting(a):
+            calls.append(a.shape)
+            return int_det(a)
+
+        monkeypatch.setattr(rates_module, "int_det", counting)
+        # every minor of a generalized Vandermonde matrix with 0 < x_1 < ... is positive
+        a = np.array([[1, 2, 3, 4, 5], [1, 4, 9, 16, 25], [1, 8, 27, 64, 125],
+                      [1, 16, 81, 256, 625], [1, 32, 243, 1024, 3125]], dtype=np.int64)
+        assert len(_feasible_permutations(a)) == 120
+        assert len(calls) == 2**5 - 1
 
 
 class TestAllocateRates:

@@ -3,10 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from ifwb import region as region_module
 from ifwb.errors import DimensionTooLarge, IfwbError, WrongDimension
 from ifwb.lattice import int_det
 from ifwb.rates import (
     ChannelInstance,
+    _effective_noise,
     allocate_rates,
     mmse_sic_plan,
     pseudo_triangularize,
@@ -14,7 +16,9 @@ from ifwb.rates import (
 )
 from ifwb.region import (
     RatePoint,
+    _class_representatives,
     _is_duplicate,
+    _scan_box,
     capacity_polytope_2user,
     enumerate_achievable_points,
     pentagon_contains,
@@ -181,11 +185,24 @@ def _seeded_channels():
         yield ChannelInstance(rng.standard_normal((n, 2)), 10.0 ** (rng.uniform(5.0, 60.0) / 10.0))
 
 
+# channels where many rate tuples tie exactly: integer entries, parallel
+# columns, and a channel whose A = I plan is not monotone (kept as plain SIC
+# while its row-sign representative -I is not)
+_TIE_CHANNELS = [
+    ChannelInstance(np.array([[1.0, 2.0], [3.0, 1.0]]), 100.0),
+    ChannelInstance(np.array([[1.0, 1.0], [0.5, 0.5]]), 10.0**1.5),
+    ChannelInstance(np.array([[1.0, -1.0], [2.0, -2.0]]), 10.0),
+    ChannelInstance(np.array([[0.7, 1.4]]), 10.0**2.5),
+    ChannelInstance(np.array([[1.0, 0.2], [0.1, 3.0]]), 100.0),
+]
+
+
 class TestBatchedScanMatchesReference:
     @pytest.mark.parametrize(
         "ch, bound",
         [(ChannelInstance(np.array([[np.sqrt(2.0), 1.0]]), 10.0**1.5), 3)]
-        + [(ch, 2) for ch in _seeded_channels()],
+        + [(ch, 2) for ch in _seeded_channels()]
+        + [(ch, b) for ch in _TIE_CHANNELS for b in (1, 3)],
     )
     def test_points_and_frontier_identical(self, ch, bound):
         reg = enumerate_achievable_points(ch, bound)
@@ -196,6 +213,13 @@ class TestBatchedScanMatchesReference:
                 assert g.rates == w.rates
                 assert (g.A, g.permutation, g.source) == (w.A, w.permutation, w.source)
 
+    def test_identity_exception_is_exercised(self):
+        ch = _TIE_CHANNELS[-1]
+        diag_sq = np.diag(ch.sic_cholesky) ** 2
+        assert diag_sq[0] > diag_sq[1]  # A = I is not monotone
+        scanned = {tuple(map(tuple, a)) for a in _scan_box(ch, 1)[0].tolist()}
+        assert ((1, 0), (0, 1)) in scanned and ((-1, 0), (0, -1)) not in scanned
+
     def test_dedup_compares_beyond_last_kept_point(self):
         def point(r1, r2):
             return RatePoint((r1, r2), "successive_if", ((1, 0), (0, 1)), (0, 1))
@@ -204,6 +228,81 @@ class TestBatchedScanMatchesReference:
         assert _is_duplicate(point(1.0 + 6e-10, 5.0), kept)
         assert not _is_duplicate(point(1.0 + 6e-10, 3.0), kept)
         assert not _is_duplicate(point(1.0 + 2e-9, 5.0), kept)
+
+
+def _box(bound):
+    side = 2 * bound + 1
+    return (np.indices((side,) * 4, dtype=np.int64).reshape(4, -1).T - bound).reshape(-1, 2, 2)
+
+
+def _canonical(a):
+    """The row-sign variant of a whose rows each start with a negative entry."""
+    signs = np.where(np.take_along_axis(a, np.argmax(a != 0, axis=-1)[..., None], -1) > 0, -1, 1)
+    return a * signs
+
+
+class TestRowSignClasses:
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5])
+    def test_one_matrix_per_class_plus_identity(self, bound):
+        stack = _class_representatives(bound)
+        assert stack.shape == ((((2 * bound + 1) ** 2 - 1) // 2) ** 2 + 1, 2, 2)
+        np.testing.assert_array_equal(stack[-1], np.eye(2, dtype=np.int64))
+        reps = stack[:-1]
+        np.testing.assert_array_equal(_canonical(reps), reps)
+        box = _box(bound)
+        box = box[np.all(np.any(box != 0, axis=-1), axis=-1)]  # no zero row
+        classes = {tuple(m.ravel()) for m in _canonical(box)}
+        assert classes == {tuple(m.ravel()) for m in reps}
+        assert len(classes) == len(reps)
+        keys = [tuple(m.ravel()) for m in stack]
+        assert keys == sorted(keys)
+        # each representative is its class's lexicographically smallest member
+        for m in reps[:: max(1, len(reps) // 50)]:
+            signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+            assert min(tuple((np.diag(d) @ m).ravel()) for d in signs) == tuple(m.ravel())
+
+    @pytest.mark.parametrize("bound", [1, 3])
+    def test_scanned_stack_is_the_nonsingular_representatives(self, bound, monkeypatch):
+        seen = []
+
+        def recording(ch, af):
+            seen.append(af.copy())
+            return _effective_noise(ch, af)
+
+        monkeypatch.setattr(region_module, "_effective_noise", recording)
+        enumerate_achievable_points(ChannelInstance(np.array([[np.sqrt(2.0), 1.0]]), 30.0), bound)
+        (stack,) = seen
+        reps = _class_representatives(bound)
+        reps = reps[reps[:, 0, 0] * reps[:, 1, 1] - reps[:, 0, 1] * reps[:, 1, 0] != 0]
+        np.testing.assert_array_equal(stack, reps.astype(float))
+
+    def test_sign_flips_change_no_rate_or_check(self):
+        """The premise of the scan: D A gives the same Cholesky diagonal bit for
+        bit, and fails the kernel's cross-checks, with the same error, exactly
+        when A does. Every nonsingular matrix of the bound-3 box is D A for one
+        representative A."""
+        rng = np.random.default_rng(77)
+        flips = [np.diag(d) for d in ((1, -1), (-1, 1), (-1, -1))]
+        failures = 0
+        for snr_db in (10.0, 40.0, 80.0, 80.0, 90.0):
+            ch = ChannelInstance(rng.standard_normal((int(rng.integers(1, 4)), 2)),
+                                 10.0 ** (snr_db / 10.0))
+
+            def outcome(a):
+                try:
+                    _, l, _ = _effective_noise(ch, a.astype(float))
+                except IfwbError as exc:
+                    return str(exc)
+                return np.diag(l).tobytes()
+
+            for a in _class_representatives(3)[:-1]:
+                if a[0, 0] * a[1, 1] == a[0, 1] * a[1, 0]:
+                    continue
+                want = outcome(a)
+                failures += isinstance(want, str)
+                for d in flips:
+                    assert outcome(d @ a) == want
+        assert failures > 0  # the high-SNR channels do fail some checks
 
 
 @pytest.mark.xfail(strict=True, raises=IfwbError,

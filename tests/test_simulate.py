@@ -7,13 +7,12 @@ import pytest
 
 from conftest import EXAMPLE1_A
 from ifwb import simulate
-from ifwb.errors import ShapeMismatch, SingularA
+from ifwb.errors import SingularA
 from ifwb.rates import gdfe_filters
 from ifwb.rates import ChannelInstance, if_effective_model, optimal_a
 from ifwb.simulate import (
     CHUNK_TRIALS,
     SimConfig,
-    empirical_generalized_covariance,
     run_lr_aided_sic_trials,
     run_mmse_sic_trials,
     run_successive_if_trials,
@@ -198,36 +197,6 @@ class TestEffectiveNoiseStatistics:
         p1, pm = result.equation_error_rate[0], result.equation_error_rate[-1]
         stderr = math.sqrt(max(pm, 1e-12) * (1 - pm) / cfg.trials)
         assert p1 <= pm + 3.0 * stderr
-
-
-class TestEmpiricalGeneralizedCovariance:
-    def test_single_row_of_ones(self):
-        k = empirical_generalized_covariance([np.ones((1, 4))])
-        np.testing.assert_array_equal(k, [[1.0]])
-
-    def test_law_of_large_numbers(self):
-        rng = np.random.default_rng(52)
-        g = np.array([[1.0, 0.0], [0.7, 0.5]])
-        n, count = 64, 400
-        samples = [g @ rng.standard_normal((2, n)) for _ in range(count)]
-        k = empirical_generalized_covariance(samples)
-        tol = 5.0 / math.sqrt(count * n)
-        assert np.abs(k - g @ g.T).max() <= tol * np.abs(g @ g.T).max()
-
-    def test_linear_transform_identity(self):
-        # algebraic identity on the samples themselves, not a statistical check
-        rng = np.random.default_rng(53)
-        g = rng.standard_normal((3, 2))
-        samples = [rng.standard_normal((2, 16)) for _ in range(10)]
-        lhs = empirical_generalized_covariance([g @ s for s in samples])
-        rhs = g @ empirical_generalized_covariance(samples) @ g.T
-        assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            empirical_generalized_covariance([np.ones((2, 3)), np.ones((2, 4))])
-        with pytest.raises(ShapeMismatch):
-            empirical_generalized_covariance([])
 
 
 # ---------------------------------------------------------------------------
