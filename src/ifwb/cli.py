@@ -14,6 +14,7 @@ digits on floats; region and sweep also emit CSV for plotting.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -378,7 +379,9 @@ def _add_channel_args(sub) -> None:
     sub.add_argument("--snr-db", help="SNR in dB (comma list for sweep)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ifwb", description="Integer-forcing MIMO receiver workbench"
     )

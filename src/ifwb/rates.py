@@ -118,11 +118,13 @@ def as_integer_matrix(a, name: str = "A") -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _validate_full_rank(a: np.ndarray, name: str = "A") -> np.ndarray:
+def _validate_full_rank(a: np.ndarray, name: str = "A") -> tuple[np.ndarray, int]:
+    """(A as int64, det A) for a full-rank integer matrix A."""
     a = as_integer_matrix(a, name)
-    if int_det(a) == 0:
+    det = int_det(a)
+    if det == 0:
         raise SingularA(f"{name} is singular (exact integer determinant is zero)")
-    return a
+    return a, det
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +232,7 @@ class EffectiveNoiseModel:
     Ktilde: np.ndarray  # generalized covariance of the effective noise
     L: np.ndarray  # lower Cholesky factor of A (I + snr H^T H)^{-1} A^T
     snr: float
-
-    def __post_init__(self):
-        if int_det(self.A) == 0:
-            raise SingularA("effective model requires full-rank A")
+    det_gap: float  # log2 |det A|, det A != 0
 
 
 def _mt(x: np.ndarray) -> np.ndarray:
@@ -274,13 +273,14 @@ def if_effective_model(ch: ChannelInstance, a) -> EffectiveNoiseModel:
     """
     key = as_integer_matrix(a).tobytes()
     if key not in ch._effective_models:
-        a = _validate_full_rank(a)
+        a, det = _validate_full_rank(a)
         m = ch.num_streams
         if a.shape[0] != m:
             raise ValueError(f"A must be {m}x{m} for this channel, got {a.shape}")
         k, l, b = _effective_noise(ch, a.astype(float))
         ch._effective_models[key] = EffectiveNoiseModel(
-            A=_read_only(a), B=_read_only(b), Ktilde=_read_only(k), L=_read_only(l), snr=ch.snr
+            A=_read_only(a), B=_read_only(b), Ktilde=_read_only(k), L=_read_only(l), snr=ch.snr,
+            det_gap=float(math.log2(abs(det))),
         )
     return ch._effective_models[key]
 
@@ -340,7 +340,7 @@ def successive_if_rates(ch: ChannelInstance, a) -> SuccessiveIfRates:
         per_step=per_step,
         symmetric_total=float(len(per_step) * min(per_step)),
         sum_rate=float(sum(per_step)),
-        det_gap=float(math.log2(abs(int_det(model.A)))),
+        det_gap=model.det_gap,
     )
 
 
@@ -403,7 +403,7 @@ def pseudo_triangularize(a) -> list[PseudoTriangularization]:
     of the column-permuted matrix is nonzero (checked in integer
     arithmetic). At least one permutation is always feasible for full-rank A.
     """
-    a = _validate_full_rank(a)
+    a, _ = _validate_full_rank(a)
     m = a.shape[0]
     results = []
     for perm in _feasible_permutations(a):
@@ -444,7 +444,7 @@ def allocate_rates(ch: ChannelInstance, a, permutation) -> AllocationPlan:
     (always, for A = I, where the allocation degenerates to plain SIC); an
     infeasible plan falls back to the conservative symmetric allocation.
     """
-    a = _validate_full_rank(a)
+    a, _ = _validate_full_rank(a)
     m = ch.num_streams
     perm = tuple(int(i) for i in permutation)
     if sorted(perm) != list(range(m)):
@@ -456,7 +456,6 @@ def allocate_rates(ch: ChannelInstance, a, permutation) -> AllocationPlan:
     diag = np.diag(model.L)
     per_step = tuple(float(-np.log2(d)) for d in diag)
     diag_sq = diag**2
-    det_gap = float(math.log2(abs(int_det(a))))
     is_identity = np.array_equal(a, np.eye(m, dtype=np.int64))
     monotone = bool(np.all(diag_sq[:-1] <= diag_sq[1:] * (1.0 + 1e-12)))
     feasible = monotone or is_identity
@@ -472,7 +471,7 @@ def allocate_rates(ch: ChannelInstance, a, permutation) -> AllocationPlan:
         stream_rates=stream_rates,
         monotone_feasible=feasible,
         sum_rate=sum_rate,
-        sum_rate_gap=det_gap,
+        sum_rate_gap=model.det_gap,
     )
 
 

@@ -272,3 +272,36 @@ class TestSweep:
                 "--snr-db", "10", "--schemes", "s-if"]
         assert main(argv) == 2
         assert "differ in shape" in capsys.readouterr().err
+
+
+class TestParserBuiltOnce:
+    def test_one_parser_per_process(self):
+        from ifwb.cli import build_parser
+
+        assert build_parser() is build_parser()
+
+    def test_sequence_matches_fresh_parsers(self, capsys, monkeypatch, ex1_csv):
+        from ifwb import cli
+
+        region = ["region", "--channel", ex1_csv, "--snr-db", "15", "--coeff-bound", "2"]
+        sequence = [
+            region,
+            ["rates", "--channel", ex1_csv, "--snr-db", "15"],
+            ["sweep", "--channel", ex1_csv, "--snr-db", "10", "--schemes", "magic"],
+            region,
+        ]
+
+        def run():
+            results = []
+            for argv in sequence:
+                code = cli.main(argv)
+                captured = capsys.readouterr()
+                results.append((code, captured.out, captured.err))
+            return results
+
+        cli.build_parser()  # the cached parser exists before the sequence starts
+        cached = run()
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = run()
+        assert [code for code, _, _ in cached] == [0, 0, 2, 0]
+        assert cached == fresh

@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Regenerate the lattice identity sets; one JSON line per case.
+
+    python3 tools/lattice_identity.py OUT.jsonl [--src DIR] [--seeds 7] [--per-seed 300]
+
+Two seeded sets of seeds x per-seed cases each (2100 with the defaults):
+
+- channels: channel i of seed s from default_rng([777, s]); M 2-16, N 1-16,
+  0-120 dB, odd i with a condition number 1-1e9. The basis is G^T with
+  G = ChannelInstance(H, snr).sic_cholesky. Each line holds the transforms of
+  lll_reduce (delta 0.75 and 0.99), kz_approx_successive_lll and, for
+  M <= 10, kz_reduce, and the shortest_vector coefficients and length.
+- brute: case i of seed s from default_rng([778, s]); dims 1-3, bounds 1-3,
+  both objectives, 0-60 dB. Each line holds brute_force_min_max's (A, value).
+
+An operation that raises is written as its error type and message. The
+library is imported from --src (default: the src/ next to this script), so
+comparing two checkouts is one cmp of two output files:
+
+    python3 tools/lattice_identity.py new.jsonl
+    python3 tools/lattice_identity.py old.jsonl --src ../old-checkout/src
+    cmp old.jsonl new.jsonl
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+
+import numpy as np
+
+
+def channel_h(rng, m, n, cond):
+    """Gaussian H (N x M), or one with singular values spread over cond."""
+    if cond is None:
+        return rng.standard_normal((n, m))
+    k = min(n, m)
+    left, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    right, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    return left[:, :k] @ np.diag(np.logspace(0, -np.log10(cond), k)) @ right[:, :k].T
+
+
+def outcome(fn):
+    """fn()'s JSON value, or its error type and message."""
+    try:
+        return fn()
+    except Exception as exc:  # every outcome is recorded, errors included
+        return {"error": type(exc).__name__, "message": str(exc)}
+
+
+def shortest(lattice, basis):
+    coeffs, length = lattice.shortest_vector(basis)
+    return [coeffs.tolist(), length]
+
+
+def channel_cases(lib, seed, count):
+    rng = np.random.default_rng([777, seed])
+    for i in range(count):
+        m = int(rng.integers(2, 17))
+        n = int(rng.integers(1, 17))
+        snr_db = float(rng.uniform(0.0, 120.0))
+        cond = float(10.0 ** rng.uniform(0.0, 9.0)) if i % 2 else None
+        h = channel_h(rng, m, n, cond)
+        basis = lib.rates.ChannelInstance(h, 10.0 ** (snr_db / 10.0)).sic_cholesky.T
+        line = {"set": "channels", "seed": seed, "i": i, "m": m, "n": n, "snr_db": snr_db, "cond": cond}
+        lattice = lib.lattice
+        line["lll_0.75"] = outcome(lambda: lattice.lll_reduce(basis, 0.75).transform.tolist())
+        line["lll_0.99"] = outcome(lambda: lattice.lll_reduce(basis, 0.99).transform.tolist())
+        line["kz_lll"] = outcome(lambda: lattice.kz_approx_successive_lll(basis).transform.tolist())
+        if m <= lattice.MAX_ENUM_DIM:
+            line["kz"] = outcome(lambda: lattice.kz_reduce(basis).transform.tolist())
+            line["sv"] = outcome(lambda: shortest(lattice, basis))
+        yield line
+
+
+def brute_cases(lib, seed, count):
+    rng = np.random.default_rng([778, seed])
+    for i in range(count):
+        m = int(rng.integers(1, 4))
+        n = int(rng.integers(1, 4))
+        bound = int(rng.integers(1, 4))
+        objective = ("successive_if", "standard_if")[int(rng.integers(0, 2))]
+        snr_db = float(rng.uniform(0.0, 60.0))
+        g = lib.rates.ChannelInstance(rng.standard_normal((n, m)), 10.0 ** (snr_db / 10.0)).sic_cholesky
+        line = {"set": "brute", "seed": seed, "i": i, "m": m, "n": n, "bound": bound,
+                "objective": objective, "snr_db": snr_db}
+
+        def run():
+            a, value = lib.lattice.brute_force_min_max(g, bound, objective)
+            return [a.tolist(), value]
+
+        line["brute"] = outcome(run)
+        yield line
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("out", help="JSON-lines output file")
+    here = os.path.dirname(os.path.abspath(__file__))
+    p.add_argument("--src", default=os.path.join(here, "..", "src"),
+                   help="directory that holds the ifwb package to test")
+    p.add_argument("--seeds", type=int, default=7)
+    p.add_argument("--per-seed", type=int, default=300)
+    args = p.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    import ifwb.lattice
+    import ifwb.rates
+
+    with open(args.out, "w") as f:
+        for cases in (channel_cases, brute_cases):
+            for seed in range(args.seeds):
+                for line in cases(ifwb, seed, args.per_seed):
+                    f.write(json.dumps(line) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
