@@ -27,12 +27,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def _any(flags) -> bool:
-    """flags.any(); the 0-d flag of a single matrix is tested directly, because
-    a numpy scalar's .any() costs more than the per-matrix check itself."""
-    return bool(flags.any() if flags.ndim else flags)
-
-
 def cholesky_lower(s) -> np.ndarray:
     """Lower-triangular Cholesky factor L of a symmetric positive-definite S.
 
@@ -42,32 +36,18 @@ def cholesky_lower(s) -> np.ndarray:
     pivot raises NotPositiveDefinite. Failures are never regularized away:
     every caller in this package passes matrices that are SPD by
     construction, so a failure indicates a caller bug.
-
-    A stack of shape (..., n, n) is factored matrix by matrix; the scale,
-    zero-matrix and symmetry checks apply to each matrix on its own.
     """
-    s = np.asarray(s, dtype=float)
-    if s.ndim <= 2:
-        s = as_matrix(s, "S")
-    elif s.size == 0:
-        raise ValueError("S must be nonempty")
-    elif not np.all(np.isfinite(s)):
-        raise ValueError("S contains NaN or Inf")
-    n, m = s.shape[-2:]
+    s = as_matrix(s, "S")
+    n, m = s.shape
     if n != m:
         raise NotSymmetric(f"S must be square, got {s.shape}")
-    st = s.swapaxes(-1, -2)
-    scale = np.abs(s).max(axis=(-2, -1))
-    if _any(scale == 0.0):
+    scale = np.abs(s).max()
+    if scale == 0.0:
         raise NotPositiveDefinite("S is the zero matrix")
-    asym = np.abs(s - st).max(axis=(-2, -1))
-    bad = asym > SYMMETRY_RTOL * scale
-    if _any(bad):
-        i = np.argmax(bad)
-        raise NotSymmetric(
-            f"asymmetry {asym.flat[i]:.3e} exceeds {SYMMETRY_RTOL:.0e} * {scale.flat[i]:.3e}"
-        )
-    sym = 0.5 * (s + st)
+    asym = np.abs(s - s.T).max()
+    if asym > SYMMETRY_RTOL * scale:
+        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.0e} * {scale:.3e}")
+    sym = 0.5 * (s + s.T)
     try:
         return np.linalg.cholesky(sym)
     except np.linalg.LinAlgError as exc:
@@ -75,31 +55,25 @@ def cholesky_lower(s) -> np.ndarray:
 
 
 def gram_schmidt(f) -> tuple[np.ndarray, np.ndarray]:
-    """Classical (unnormalized) Gram-Schmidt orthogonalization.
+    """Unnormalized Gram-Schmidt orthogonalization, read off a QR factorization.
 
     Decomposes a full-column-rank F as F = Fstar @ R where the columns of
     Fstar are mutually orthogonal (not normalized) and R is upper triangular
     with unit diagonal; R[i, j] is the projection coefficient of column j
-    onto orthogonal direction i. Raises RankDeficient when a projected
-    column's norm falls below RANK_RTOL * ||F||.
+    onto orthogonal direction i. With F = Q Rqr and r = diag(Rqr), Fstar is
+    Q diag(r) and R is diag(r)^{-1} Rqr. Raises RankDeficient when a
+    projected column's norm |r_jj| falls below RANK_RTOL * ||F||.
     """
     f = as_matrix(f, "F")
     n, m = f.shape
     if n < m:
         raise RankDeficient(f"{m} columns cannot be independent in dimension {n}")
-    threshold = RANK_RTOL * max(np.linalg.norm(f), 1e-300)
-    fstar = np.zeros((n, m))
-    r = np.eye(m)
-    for j in range(m):
-        v = f[:, j].copy()
-        for i in range(j):
-            denom = fstar[:, i] @ fstar[:, i]
-            r[i, j] = (f[:, j] @ fstar[:, i]) / denom
-            v -= r[i, j] * fstar[:, i]
-        if np.linalg.norm(v) < threshold:
-            raise RankDeficient(f"column {j} is dependent on previous columns")
-        fstar[:, j] = v
-    return fstar, r
+    q, rqr = np.linalg.qr(f)
+    r = np.diag(rqr)
+    dependent = np.abs(r) < RANK_RTOL * max(np.linalg.norm(f), 1e-300)
+    if dependent.any():
+        raise RankDeficient(f"column {int(np.argmax(dependent))} is dependent on previous columns")
+    return q * r, np.triu(rqr / r[:, None])
 
 
 def complex_to_real(hc) -> np.ndarray:

@@ -36,7 +36,7 @@ from .lattice import (
     kz_approx_successive_lll,
     kz_reduce,
 )
-from .linalg import _any, as_matrix, cholesky_lower
+from .linalg import as_matrix
 
 MAX_PSEUDO_TRI_DIM = 6
 
@@ -79,26 +79,40 @@ class ChannelInstance:
     # once per instance and returned read-only.
 
     @cached_property
-    def capacity_gram(self) -> np.ndarray:
-        """I + snr * H^T H, the Gram matrix behind every rate expression."""
-        return _read_only(np.eye(self.num_streams) + self.snr * (self.H.T @ self.H))
+    def _sqrt_factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """Q = [Q1; Q2] and R, diag(R) > 0, of the QR of [sqrt(snr) H J; J].
 
-    @cached_property
-    def error_gram(self) -> np.ndarray:
-        """(I + snr * H^T H)^{-1}, symmetrized; the MMSE error covariance over snr."""
-        s = np.linalg.inv(self.capacity_gram)
-        return _read_only(0.5 * (s + s.T))
+        J reverses the column order, so R^T R = J (I + snr H^T H) J. This is
+        the square-root form of MMSE-SIC (Hassibi, ICASSP 2000; Wubben et
+        al., VTC 2003): every channel-derived quantity is read off Q and R,
+        with no inverse or Cholesky factorization of a Gram matrix.
+        """
+        m = self.num_streams
+        augmented = np.vstack([math.sqrt(self.snr) * self.H[:, ::-1], np.eye(m)[::-1]])
+        q, r = np.linalg.qr(augmented)
+        signs = _diagonal_signs(r)
+        return _read_only(q * signs), _read_only(r * signs[:, None])
 
     @cached_property
     def sic_cholesky(self) -> np.ndarray:
-        """Lower Cholesky factor G of (I + snr H^T H)^{-1}."""
-        return _read_only(cholesky_lower(self.error_gram))
+        """Lower Cholesky factor G of (I + snr H^T H)^{-1}.
+
+        J = Q2 R gives G = J R^{-1} J = Q2 J, which is lower triangular.
+        """
+        q, _ = self._sqrt_factor
+        return _read_only(np.tril(q[self.num_receive:, ::-1]))
 
     @cached_property
     def mmse_equalizer(self) -> np.ndarray:
-        """Forward MMSE filter H^T (I/snr + H H^T)^{-1}."""
-        gram = np.eye(self.num_receive) / self.snr + self.H @ self.H.T
-        return _read_only(self.H.T @ np.linalg.inv(gram))
+        """Forward MMSE filter H^T (I/snr + H H^T)^{-1} = sqrt(snr) Q2 Q1^T."""
+        q, _ = self._sqrt_factor
+        n = self.num_receive
+        return _read_only(math.sqrt(self.snr) * (q[n:] @ q[:n].T))
+
+
+def _diagonal_signs(r: np.ndarray) -> np.ndarray:
+    """+-1 per row of each upper-triangular r (..., n, n) that makes its diagonal positive."""
+    return np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)
 
 
 def _read_only(value: np.ndarray) -> np.ndarray:
@@ -132,11 +146,9 @@ def _validate_full_rank(a: np.ndarray, name: str = "A") -> tuple[np.ndarray, int
 # ---------------------------------------------------------------------------
 
 def white_input_capacity(ch: ChannelInstance) -> float:
-    """White-input mutual information (1/2) log2 det(I + snr H^T H)."""
-    sign, logdet = np.linalg.slogdet(ch.capacity_gram)
-    if sign <= 0:
-        raise IfwbError("capacity Gram matrix not positive definite")
-    return 0.5 * logdet / math.log(2.0)
+    """White-input mutual information (1/2) log2 det(I + snr H^T H) = sum log2 r_ii."""
+    _, r = ch._sqrt_factor
+    return float(np.sum(np.log2(np.diag(r))))
 
 
 def waterfilling_capacity(ch: ChannelInstance) -> tuple[float, np.ndarray]:
@@ -240,17 +252,27 @@ def _mt(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-1, -2)
 
 
+def _any(flags) -> bool:
+    """flags.any(); the 0-d flag of a single matrix is tested directly, because
+    a numpy scalar's .any() costs more than the per-matrix check itself."""
+    return bool(flags.any() if flags.ndim else flags)
+
+
 def _effective_noise(ch: ChannelInstance, af: np.ndarray):
     """(Ktilde, L, B) for float integer matrices af of shape (..., M, M).
 
-    Ktilde = snr A S A^T with S = ch.error_gram, L is the Cholesky factor of
-    A S A^T and B = A ch.mmse_equalizer. Each matrix of a stack is checked on
-    its own: the filter-algebra covariance snr (BH - A)(BH - A)^T + B B^T
-    must match Ktilde to 1e-8 relative, and snr L L^T must match it to 1e-9.
+    With AG = A ch.sic_cholesky, Ktilde = snr (AG)(AG)^T, which is
+    snr A (I + snr H^T H)^{-1} A^T because G G^T is that inverse; L is the
+    transpose of the positive-diagonal R of the QR of (AG)^T, so
+    L L^T = (AG)(AG)^T without that product being factored; and
+    B = A ch.mmse_equalizer. Each matrix of a stack is checked on its own:
+    the filter-algebra covariance snr (BH - A)(BH - A)^T + B B^T must match
+    Ktilde to 1e-8 relative, and snr L L^T must match it to 1e-9.
     """
-    core = af @ ch.error_gram @ _mt(af)
-    ktilde = ch.snr * core
-    l = cholesky_lower(0.5 * (core + _mt(core)))
+    ag = af @ ch.sic_cholesky
+    ktilde = ch.snr * (ag @ _mt(ag))
+    r = np.linalg.qr(_mt(ag), mode="r")
+    l = _mt(r * _diagonal_signs(r)[..., None])
     b = af @ ch.mmse_equalizer
     mismatch = b @ ch.H - af
     direct = ch.snr * (mismatch @ _mt(mismatch)) + b @ _mt(b)
@@ -267,9 +289,9 @@ def if_effective_model(ch: ChannelInstance, a) -> EffectiveNoiseModel:
 
     B = A H^T (I/snr + H H^T)^{-1} and Ktilde = snr A (I + snr H^T H)^{-1} A^T.
     The two expressions for Ktilde (direct filter algebra and the
-    matrix-inversion-lemma form) are cross-checked to 1e-8 relative, and
-    Ktilde against snr L L^T to 1e-9. The model is built once per (channel,
-    A) and shared by later calls; its arrays are read-only.
+    matrix-inversion-lemma form, as snr (AG)(AG)^T) are cross-checked to
+    1e-8 relative, and Ktilde against snr L L^T to 1e-9. The model is built
+    once per (channel, A) and shared by later calls; its arrays are read-only.
     """
     key = as_integer_matrix(a).tobytes()
     if key not in ch._effective_models:
@@ -528,14 +550,14 @@ class GdfeFilters:
 def gdfe_filters(ch: ChannelInstance, a) -> GdfeFilters:
     """Optimal decision-feedback filters equivalent to noise prediction.
 
-    With R = diag(l_11..l_MM) L^{-1} the error covariance becomes exactly
-    snr * diag(l_mm^2), so the per-step rates coincide with
-    successive_if_rates.
+    With R = diag(l_11..l_MM) L^{-1}, from a solve with L^T, the error
+    covariance becomes exactly snr * diag(l_mm^2), so the per-step rates
+    coincide with successive_if_rates.
     """
     model = if_effective_model(ch, a)
     l = model.L
     diag = np.diag(l)
-    rmonic = np.tril(np.diag(diag) @ np.linalg.inv(l))
+    rmonic = np.tril(np.linalg.solve(l.T, np.diag(diag)).T)
     np.fill_diagonal(rmonic, 1.0)
     cfeedback = rmonic - np.eye(l.shape[0])
     np.fill_diagonal(cfeedback, 0.0)

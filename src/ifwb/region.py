@@ -97,9 +97,10 @@ def _class_representatives(bound: int) -> np.ndarray:
 def _scan_box(ch: ChannelInstance, bound: int):
     """Monotone-feasible successive-IF plans for every full-rank A in the box.
 
-    Negating a row of A negates rows and columns of A S A^T, B and B H - A
-    exactly, so the Cholesky diagonal, both checks and feasibility are the
-    same bit for bit across a row-sign class. The nonsingular class
+    Negating a row of A negates that row of A G, B and B H - A exactly, and
+    a Householder QR of (A G)^T only negates the matching row of R, so the
+    diagonal of L, both checks and feasibility are the same bit for bit
+    across a row-sign class. The nonsingular class
     representatives form one stack, which rates._effective_noise factors and
     checks matrix by matrix; the diagonal of each factor L gives the per-step
     rates -log2 l_mm. For full-rank 2x2 A, permutation (0, 1) is feasible iff

@@ -22,6 +22,18 @@ def random_channel(rng, max_dim: int = 4, snr_choices=(1.0, 10.0, 100.0)) -> Cha
     return ChannelInstance(h, snr)
 
 
+def conditioned_channel(rng, m, n, snr_db, cond=None) -> ChannelInstance:
+    """N x M channel at snr_db; H Gaussian, or with singular values log-spaced from 1 to 1/cond."""
+    if cond is None:
+        h = rng.standard_normal((n, m))
+    else:
+        k = min(n, m)
+        left, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        right, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        h = left[:, :k] @ np.diag(np.logspace(0, -np.log10(cond), k)) @ right[:, :k].T
+    return ChannelInstance(h, 10.0 ** (snr_db / 10.0))
+
+
 def random_full_rank_int(rng, m: int, bound: int = 2) -> np.ndarray:
     from ifwb.lattice import int_det
 

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import conditioned_channel
 from ifwb.errors import DegenerateBasis, DimensionTooLarge
 from ifwb.lattice import (
     brute_force_min_max,
@@ -573,16 +574,7 @@ def _full_scan_brute_force(g, bound, objective):
 
 def _channel_g(rng, m, n, snr_db, cond=None):
     """Cholesky factor G of (I + snr H^T H)^{-1}; H Gaussian or with a set condition number."""
-    from ifwb.rates import ChannelInstance
-
-    if cond is None:
-        h = rng.standard_normal((n, m))
-    else:
-        k = min(n, m)
-        left, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        right, _ = np.linalg.qr(rng.standard_normal((m, m)))
-        h = left[:, :k] @ np.diag(np.logspace(0, -np.log10(cond), k)) @ right[:, :k].T
-    return ChannelInstance(h, 10.0 ** (snr_db / 10.0)).sic_cholesky
+    return conditioned_channel(rng, m, n, snr_db, cond).sic_cholesky
 
 
 def _oracle_cases():
@@ -596,9 +588,9 @@ def _oracle_cases():
         cond = None if i % 3 == 0 else float(10.0 ** rng.uniform(0.0, 9.0))
         case_id = f"m{m}-n{n}-{snr_db:.0f}dB" + ("" if cond is None else f"-cond{cond:.0e}")
         cases.append(pytest.param(_channel_g(rng, m, n, snr_db, cond), id=case_id))
-    # size reductions by large q; of these only seed 14 still gets a different
+    # size reductions by large q; of these seeds 35 and 59 get a different
     # transform without the Gram-Schmidt refresh (test_refresh_changes_the_transform)
-    for seed, m, n in ((92, 8, 5), (135, 8, 4), (14, 10, 5)):
+    for seed, m, n in ((92, 8, 5), (135, 8, 4), (14, 10, 5), (35, 10, 5), (59, 10, 5)):
         g = _channel_g(np.random.default_rng(seed), m, n, 120.0)
         cases.append(pytest.param(g, id=f"refresh-seed{seed}-m{m}-n{n}-120dB"))
     return cases
@@ -620,7 +612,7 @@ class TestIncrementalMatchesReference:
     def test_refresh_changes_the_transform(self, monkeypatch):
         from ifwb import lattice
 
-        g = _channel_g(np.random.default_rng(14), 10, 5, 120.0)
+        g = _channel_g(np.random.default_rng(35), 10, 5, 120.0)
         with_refresh = lll_reduce(g.T, delta=0.99).transform
         monkeypatch.setattr(lattice, "_GSO_REFRESH_Q", 10**9)
         assert not np.array_equal(lll_reduce(g.T, delta=0.99).transform, with_refresh)
