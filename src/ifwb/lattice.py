@@ -7,7 +7,9 @@ a method tag. Transforms are tracked in exact integer arithmetic (Python
 ints), so det(U) = +-1 is checked exactly, not numerically. The reduction
 loops run on Python lists (one float list per column, mu as a list of rows)
 with the same IEEE operations, in the same order, as numpy elementwise; only
-the dot products of _gso and _size_reduce run in numpy.
+the dot products of _gso and _size_reduce, and the last search level of the
+brute-force oracle (one pass over its sorted candidates per incumbent), run
+in numpy.
 
 Exact routines (shortest vector, KZ) are guarded to dimension 10; they rely
 on depth-first enumeration with a radius seeded by an actual lattice vector,
@@ -22,13 +24,14 @@ Qiao & Wei, IEEE TSP 2012; the insertion step of Schnorr & Euchner's BKZ,
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateBasis, DimensionTooLarge, NoFullRankCandidate
+from .errors import DegenerateBasis, DimensionTooLarge
 from .linalg import as_matrix, cholesky_lower
 
 MAX_ENUM_DIM = 10
@@ -103,21 +106,33 @@ def validate_basis(b) -> np.ndarray:
     n, m = b.shape
     if n < m:
         raise DegenerateBasis(f"{m} basis vectors in ambient dimension {n}")
-    gram = b.T @ b
-    det = np.linalg.det(gram)
-    scale = max(np.abs(gram).max(), 1e-300)
-    if det <= (1e-12 * scale) ** m:
+    # det(B^T B) <= (1e-12 * max|B^T B|)^m, taken in logs and on B scaled by
+    # a power of two to max|B| < 1 (exact, so an integer basis keeps an exact
+    # zero determinant), so that neither side overflows or underflows
+    unit = np.ldexp(b, -int(np.frexp(np.abs(b).max())[1]))
+    gram = unit.T @ unit
+    sign, logdet = np.linalg.slogdet(gram)
+    if sign <= 0 or logdet <= m * math.log(1e-12 * np.abs(gram).max()):
         raise DegenerateBasis("basis columns are (numerically) linearly dependent")
     return b
 
 
-def _gso(cols: np.ndarray):
-    """Gram-Schmidt data: orthogonal vectors, coefficients mu[i][j] (j < i), squared norms."""
+def _gso(cols: np.ndarray, start: int = 0, prev=None):
+    """Gram-Schmidt data: orthogonal vectors, coefficients mu[i][j] (j < i), squared norms.
+
+    Row i depends only on columns 0..i, so rows below start are copied from
+    prev, the _gso data of a basis with the same first start columns; the
+    rows from start on are bit for bit those of a full pass.
+    """
     n, m = cols.shape
     bstar = np.zeros((n, m))
     mu = np.zeros((m, m))
     nsq = np.zeros(m)
-    for i in range(m):
+    if start:
+        bstar[:, :start] = prev[0][:, :start]
+        mu[:start, :start] = prev[1][:start, :start]
+        nsq[:start] = prev[2][:start]
+    for i in range(start, m):
         v = cols[:, i].copy()
         for j in range(i):
             mu[i, j] = (cols[:, i] @ bstar[:, j]) / nsq[j]
@@ -148,9 +163,13 @@ class ReductionReport:
 
     reduced_basis: np.ndarray
     transform: np.ndarray  # int64, det +-1 exactly
-    gram_schmidt_norms: np.ndarray
     method: str
     original_basis: np.ndarray = field(repr=False, default=None)
+
+    @functools.cached_property
+    def gram_schmidt_norms(self) -> np.ndarray:
+        """Gram-Schmidt norms of the reduced basis, computed on first read."""
+        return np.sqrt(_gso(self.reduced_basis)[2])
 
     def __post_init__(self):
         if not is_unimodular(self.transform):
@@ -164,12 +183,9 @@ class ReductionReport:
 
 def _make_report(original, u: list, method) -> ReductionReport:
     t = _matrix(u)
-    reduced = original @ t.astype(float)
-    _, _, nsq = _gso(reduced)
     return ReductionReport(
-        reduced_basis=reduced,
+        reduced_basis=original @ t.astype(float),
         transform=t,
-        gram_schmidt_norms=np.sqrt(nsq),
         method=method,
         original_basis=original,
     )
@@ -182,12 +198,6 @@ def _make_report(original, u: list, method) -> ReductionReport:
 # A size reduction by q multiplies the rounding error in mu[j, :j] by |q|;
 # beyond this the incremental update could flip a later rounding decision.
 _GSO_REFRESH_Q = 32
-
-
-def _gso_lists(cols: list):
-    """(mu, nsq) of _gso for the column lists cols, as Python lists."""
-    _, mu, nsq = _gso(_matrix(cols, float))
-    return mu.tolist(), nsq.tolist()
 
 
 def _swap_gso(mu: list, nsq: list, k: int) -> None:
@@ -209,20 +219,24 @@ def _swap_gso(mu: list, nsq: list, k: int) -> None:
         row[k - 1] = t + new_mu * row[k]
 
 
-def _lll_inplace(cols: list, u: list, delta: float, lo: int = 0):
+def _lll_inplace(cols: list, u: list, delta: float, lo: int = 0, start: int = 0, prev=None):
     """LLL-reduce the column lists cols in place, mirroring every integer operation on u.
 
     Columns before lo are held fixed: they serve for size reduction but are
     never swapped, so only the projection of cols[lo:] orthogonal to them
-    is reduced. Returns the Gram-Schmidt data (mu, nsq) of the result.
+    is reduced. Returns the Gram-Schmidt data (mu, nsq) of the result and
+    the numpy _gso data it was last computed from, which is exact in the
+    rows below lo (those columns never change).
 
     The Gram-Schmidt data is computed once and then kept current by the
     incremental size-reduction and swap updates of Cohen's Alg. 2.6.3. It is
     recomputed after a size reduction by |q| > _GSO_REFRESH_Q, as in
-    Schnorr & Euchner (1994).
+    Schnorr & Euchner (1994). The first pass copies the rows below start
+    from prev (see _gso); a refresh copies the rows below lo.
     """
     m = len(cols)
-    mu, nsq = _gso_lists(cols)
+    gs = _gso(_matrix(cols, float), start, prev)
+    mu, nsq = gs[1].tolist(), gs[2].tolist()
     k = max(lo, 1)
     sweeps = 0
     max_sweeps = 10000 * m * m + 1000
@@ -237,7 +251,8 @@ def _lll_inplace(cols: list, u: list, delta: float, lo: int = 0):
                 cols[k] = [a - q * b for a, b in zip(cols[k], cols[j])]
                 u[k] = [a - q * b for a, b in zip(u[k], u[j])]
                 if abs(q) > _GSO_REFRESH_Q:
-                    mu, nsq = _gso_lists(cols)
+                    gs = _gso(_matrix(cols, float), lo, gs)
+                    mu, nsq = gs[1].tolist(), gs[2].tolist()
                     row = mu[k]
                 else:
                     row[:j] = [a - q * b for a, b in zip(row, mu[j][:j])]
@@ -249,7 +264,7 @@ def _lll_inplace(cols: list, u: list, delta: float, lo: int = 0):
             u[k - 1], u[k] = u[k], u[k - 1]
             _swap_gso(mu, nsq, k)
             k = max(k - 1, lo, 1)
-    return mu, nsq
+    return mu, nsq, gs
 
 
 def lll_reduce(basis, delta: float = 0.75) -> ReductionReport:
@@ -388,12 +403,14 @@ def _kz_common(basis, exact: bool, method: str) -> ReductionReport:
     m = original.shape[1]
     cols = original.T.tolist()
     u = _identity(m)
-    mu, nsq = _lll_inplace(cols, u, 0.99)
+    mu, nsq, gs = _lll_inplace(cols, u, 0.99)
+    fresh = 0  # rows of gs that are the Gram-Schmidt data of the current columns
     for k in range(m - 1 if exact else 0):  # successive LLL keeps LLL's column k
         z, _ = _enumerate_shortest(mu, nsq, k, [1] + [0] * (m - k - 1), nsq[k])
         if any(z[1:]):
-            _insert(cols, u, k, z)
-            mu, nsq = _lll_inplace(cols, u, 0.99, lo=k + 1)
+            _insert(cols, u, k, z)  # changes columns k... only
+            mu, nsq, gs = _lll_inplace(cols, u, 0.99, lo=k + 1, start=min(k, fresh), prev=gs)
+            fresh = k + 1
     _size_reduce(original @ _matrix(u, float), u)
     return _make_report(original, u, method)
 
@@ -467,7 +484,9 @@ def brute_force_min_max(g, entry_bound: int, objective: str = "successive_if"):
     The objective is invariant under per-row sign flips, so only sign
     representatives are enumerated and each surviving matrix is canonicalized
     to its lexicographically smallest sign variant, which reproduces the
-    tie-break of a full scan.
+    tie-break of a full scan. The last row is chosen by a numpy scan of the
+    node's candidates in ascending order, one pass per change of the
+    incumbent (scan_last), not by one Python step per candidate.
     """
     g = as_matrix(g, "G")
     m = g.shape[0]
@@ -499,24 +518,25 @@ def brute_force_min_max(g, entry_bound: int, objective: str = "successive_if"):
         return float(np.max(np.sum(l * l, axis=1)))
 
     # Each enumerated row's first nonzero entry is positive, so its
-    # lexicographically smallest sign variant is its negation.
-    canon_rows = [tuple(-int(v) for v in row) for row in reps]
-    row_frob = [int(v) for v in np.sum(cand * cand, axis=1)]
-    best = {"value": math.inf, "frob": None, "rows": None}
+    # lexicographically smallest sign variant is its negation; reps ascend
+    # lexicographically, so these descend and rank in reverse.
+    canon_rows = [tuple(row) for row in (-cand).tolist()]
+    canon_rank = np.arange(len(reps))[::-1]
+    frob_arr = np.sum(cand * cand, axis=1)
+    row_frob = [int(v) for v in frob_arr]
+    # A = I is always feasible and seeds the bound
+    ident = [reps.index(tuple(int(i == j) for j in range(m))) for i in range(m)]
+    best = {"value": chol_value(np.eye(m)), "frob": m, "rows": ident}
 
     def consider(rows: list, value: float) -> None:
-        tie = 1e-12 * max(1.0, best["value"] if math.isfinite(best["value"]) else 1.0)
-        if value > best["value"] + tie:
-            return
+        """Make rows the incumbent if better; value is at most the incumbent's plus the tie."""
+        tie = 1e-12 * max(1.0, best["value"])
         frob = sum(row_frob[i] for i in rows)
         if value < best["value"] - tie or frob < best["frob"] or (
             frob == best["frob"]
             and [canon_rows[i] for i in rows] < [canon_rows[i] for i in best["rows"]]
         ):
             best.update(value=value, frob=frob, rows=rows)
-
-    ident = [reps.index(tuple(int(i == j) for j in range(m))) for i in range(m)]
-    consider(ident, chol_value(np.eye(m)))  # always feasible, seeds the bound
 
     c = list(cand.T)
 
@@ -534,42 +554,69 @@ def brute_force_min_max(g, entry_bound: int, objective: str = "successive_if"):
         return ((r[1] * s[2] - r[2] * s[1]) * c[0] + (r[2] * s[0] - r[0] * s[2]) * c[1]
                 + (r[0] * s[1] - r[1] * s[0]) * c[2] != 0)
 
+    def scan_last(chosen: list, indep: np.ndarray, order: np.ndarray, vals: np.ndarray) -> None:
+        """The last level, one numpy pass per incumbent over the ascending vals.
+
+        Between two replacements of the incumbent every candidate's outcome
+        in consider is fixed, so only the first independent candidate (which
+        sets node_best) and each one that would replace the incumbent are
+        passed to consider. After the first, no value is below the
+        incumbent's minus the tie (the first either became the incumbent or
+        was not below it), so a later one replaces only on the tie-break.
+        """
+        prefix = [canon_rows[i] for i in chosen]
+        prefix_frob = sum(row_frob[i] for i in chosen)
+        node_best = None
+        start = 0
+        while True:
+            tie = 1e-12 * max(1.0, best["value"])
+            bound = best["value"] + tie
+            if node_best is not None:
+                # beyond node_best + tie: worse than this node's own optimum,
+                # never a global tie
+                bound = min(bound, node_best + tie)
+            end = int(vals.searchsorted(bound, side="right"))
+            window = order[start:end]
+            hit = indep[window]
+            if node_best is not None:
+                best_prefix = [canon_rows[i] for i in best["rows"][:-1]]
+                if prefix == best_prefix:
+                    smaller = canon_rank[window] < canon_rank[best["rows"][-1]]
+                else:
+                    smaller = prefix < best_prefix
+                frob = frob_arr[window] + prefix_frob
+                hit &= (frob < best["frob"]) | ((frob == best["frob"]) & smaller)
+            if not hit.any():
+                return
+            i = start + int(hit.argmax())
+            if node_best is None:
+                node_best = float(vals[i])
+            consider(chosen + [int(order[i])], float(vals[i]))
+            start = i + 1
+
     def descend(chosen: list, resid_sq: np.ndarray, ortho: list, partial_max: float) -> None:
         indep = independent(chosen)
         level_val = resid_sq if successive else norms_sq
         order = np.argsort(level_val, kind="stable")
-        last = len(chosen) == m - 1
-        node_best = None
+        if len(chosen) == m - 1:
+            scan_last(chosen, indep, order, np.maximum(partial_max, level_val[order]))
+            return
         for idx in order:
-            lv = float(level_val[idx])
-            value = max(partial_max, lv)
-            tie = 1e-12 * max(1.0, best["value"])
-            if value > best["value"] + tie:
+            value = max(partial_max, float(level_val[idx]))
+            if value > best["value"] + 1e-12 * max(1.0, best["value"]):
                 break  # ascending level values: the rest only get worse
-            if last:
-                if node_best is not None and value > node_best + tie:
-                    break  # worse than this node's own optimum: never a global tie
-                if not indep[idx]:
-                    continue
-                if node_best is None:
-                    node_best = value
-                consider(chosen + [idx], value)
-            else:
-                if not indep[idx]:
-                    continue
-                v = vecs[idx].copy()
-                for q in ortho:
-                    v -= (v @ q) * q
-                vn = np.linalg.norm(v)
-                if vn <= 0.0:
-                    continue
-                q = v / vn
-                child_resid = np.maximum(resid_sq - (vecs @ q) ** 2, 0.0)
-                descend(chosen + [idx], child_resid, ortho + [q], value)
+            if not indep[idx]:
+                continue
+            v = vecs[idx].copy()
+            for q in ortho:
+                v -= (v @ q) * q
+            vn = np.linalg.norm(v)
+            if vn <= 0.0:
+                continue
+            q = v / vn
+            child_resid = np.maximum(resid_sq - (vecs @ q) ** 2, 0.0)
+            descend(chosen + [idx], child_resid, ortho + [q], value)
 
     descend([], norms_sq.copy(), [], 0.0)
-
-    if best["rows"] is None:  # unreachable for entry_bound >= 1
-        raise NoFullRankCandidate("no full-rank integer matrix in the search box")
     a = np.array([canon_rows[i] for i in best["rows"]], dtype=np.int64)
     return a, chol_value(a)

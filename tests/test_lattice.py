@@ -90,6 +90,34 @@ class TestShortestVector:
             shortest_vector(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
+class TestValidateBasis:
+    @pytest.mark.parametrize("m", [2, 3, 4, 8, 16])
+    def test_every_scale_is_accepted(self, m):
+        from ifwb.lattice import validate_basis
+
+        basis = np.random.default_rng(m).standard_normal((m, m))
+        for e in range(-150, 151, 10):
+            validate_basis(10.0**e * basis)
+            rep = lll_reduce(10.0**e * np.eye(m))
+            np.testing.assert_array_equal(rep.transform, np.eye(m, dtype=np.int64))
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 8, 16])
+    def test_dependent_basis_is_rejected_at_every_scale(self, m):
+        from ifwb.lattice import validate_basis
+
+        singular = np.random.default_rng(m).integers(-3, 4, size=(m, m)).astype(float)
+        singular[:, 0] = 2.0 * singular[:, -1]
+        for e in range(-490, 491, 35):  # powers of two keep the dependence exact
+            with pytest.raises(DegenerateBasis):
+                validate_basis(2.0**e * singular)
+
+    def test_high_snr_channel_at_large_scale(self):
+        from ifwb.rates import ChannelInstance, optimal_a
+
+        h = 1e6 * np.random.default_rng(0).standard_normal((16, 16))
+        assert is_unimodular(optimal_a(ChannelInstance(h, 1e12), "kz_lll"))
+
+
 def assert_size_reduced_and_lovasz(basis, delta, lo=0):
     """LLL conditions for the columns from lo on (size reduction against all before)."""
     from ifwb.lattice import _gso
@@ -630,6 +658,65 @@ class TestIncrementalMatchesReference:
         rng = np.random.default_rng([m, bound, objective == "standard_if"])
         for snr_db in (0.0, 20.0, 60.0):
             g = _channel_g(rng, m, int(rng.integers(1, 4)), snr_db)
+            a, value = brute_force_min_max(g, bound, objective)
+            a_ref, value_ref = _full_scan_brute_force(g, bound, objective)
+            np.testing.assert_array_equal(a, a_ref)
+            assert value == value_ref
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8, 12, 16])
+    def test_gso_from_a_kept_prefix(self, m):
+        from ifwb.lattice import _gso
+
+        rng = np.random.default_rng(m)
+        cols = rng.standard_normal((m + 1, m))
+        full = _gso(cols)
+        for start in range(m + 1):
+            other = cols.copy()
+            other[:, start:] = rng.standard_normal((m + 1, m - start))  # same first start columns
+            for got, want in zip(_gso(cols, start, _gso(other)), full):
+                np.testing.assert_array_equal(got, want)
+
+    def test_kz_after_a_level_without_insertion(self, monkeypatch):
+        # Level 0 inserts nothing and level 1 inserts. The rows kept from the
+        # first LLL were updated in place, not recomputed, so the
+        # Gram-Schmidt pass after the insertion has to start at row 0, not 1.
+        from ifwb import lattice
+
+        g = _channel_g(np.random.default_rng(37), 4, 1, 20.0)
+        levels = []
+        insert = lattice._insert
+
+        def recording_insert(cols, u, k, z):
+            levels.append(k)
+            insert(cols, u, k, z)
+
+        monkeypatch.setattr(lattice, "_insert", recording_insert)
+        got = kz_reduce(g.T).transform
+        assert levels == [1]
+        np.testing.assert_array_equal(got, _reference_transform(g.T, "kz"))
+
+    def test_gram_schmidt_norms_on_read(self):
+        from ifwb.lattice import _gso
+
+        g = _channel_g(np.random.default_rng(3), 6, 4, 30.0)
+        for name, reduce in REDUCTIONS.items():
+            rep = reduce(g.T)
+            assert "gram_schmidt_norms" not in rep.__dict__
+            eager = np.sqrt(_gso(g.T @ rep.transform.astype(float))[2])
+            np.testing.assert_array_equal(rep.gram_schmidt_norms, eager, err_msg=name)
+            assert rep.gram_schmidt_norms is rep.gram_schmidt_norms
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("bound", [1, 2, 3])
+    @pytest.mark.parametrize("objective", ["successive_if", "standard_if"])
+    def test_brute_force_exact_ties(self, m, bound, objective):
+        # Structured G whose last-level values tie exactly. With c = 3 the
+        # objective exceeds 1, so the tie tolerance 1e-12 max(1, best) scales
+        # with it; a channel G never gets there (S <= I).
+        gs = [c * np.eye(m) for c in (1e-3, 1.0, 3.0)]
+        if m > 1:
+            gs.append(np.array([[1, 0, 0], [2, 1, 0], [-1, 3, 1]], dtype=float)[:m, :m])
+        for g in gs:
             a, value = brute_force_min_max(g, bound, objective)
             a_ref, value_ref = _full_scan_brute_force(g, bound, objective)
             np.testing.assert_array_equal(a, a_ref)

@@ -1,7 +1,12 @@
 #!/usr/bin/env python3
-"""Regenerate the lattice identity sets; one JSON line per case.
+"""Regenerate the lattice identity sets; one JSON line per case in each of two files.
 
     python3 tools/lattice_identity.py OUT.jsonl [--src DIR] [--seeds 7] [--per-seed 300]
+
+OUT.jsonl holds each case's inputs and integer outcomes (transforms, shortest
+vector coefficients, brute-force A); OUT.floats.jsonl holds, line for line,
+its float outputs (the shortest vector length, the brute-force value), so a
+last-bit change of a float does not hide among changed transforms.
 
 Two seeded sets of seeds x per-seed cases each (2100 with the defaults):
 
@@ -9,17 +14,20 @@ Two seeded sets of seeds x per-seed cases each (2100 with the defaults):
   0-120 dB, odd i with a condition number 1-1e9. The basis is G^T with
   G = ChannelInstance(H, snr).sic_cholesky. Each line holds the transforms of
   lll_reduce (delta 0.75 and 0.99), kz_approx_successive_lll and, for
-  M <= 10, kz_reduce, and the shortest_vector coefficients and length.
+  M <= 10, kz_reduce, and the shortest_vector coefficients (length in the
+  floats file).
 - brute: case i of seed s from default_rng([778, s]); dims 1-3, bounds 1-3,
-  both objectives, 0-60 dB. Each line holds brute_force_min_max's (A, value).
+  both objectives, 0-60 dB. Each line holds brute_force_min_max's A (value in
+  the floats file).
 
-An operation that raises is written as its error type and message. The
-library is imported from --src (default: the src/ next to this script), so
-comparing two checkouts is one cmp of two output files:
+An operation that raises is written as its error type and message, in OUT.
+The library is imported from --src (default: the src/ next to this script),
+so comparing the transforms of two checkouts is one cmp of two output files:
 
     python3 tools/lattice_identity.py new.jsonl
     python3 tools/lattice_identity.py old.jsonl --src ../old-checkout/src
     cmp old.jsonl new.jsonl
+    cmp old.floats.jsonl new.floats.jsonl
 """
 
 from __future__ import annotations
@@ -50,9 +58,13 @@ def outcome(fn):
         return {"error": type(exc).__name__, "message": str(exc)}
 
 
-def shortest(lattice, basis):
-    coeffs, length = lattice.shortest_vector(basis)
-    return [coeffs.tolist(), length]
+def split(fn):
+    """(integer array, float) of fn() as (list, float); an error as (its dict, None)."""
+    result = outcome(fn)
+    if isinstance(result, dict):
+        return result, None
+    ints, value = result
+    return ints.tolist(), value
 
 
 def channel_cases(lib, seed, count):
@@ -65,14 +77,15 @@ def channel_cases(lib, seed, count):
         h = channel_h(rng, m, n, cond)
         basis = lib.rates.ChannelInstance(h, 10.0 ** (snr_db / 10.0)).sic_cholesky.T
         line = {"set": "channels", "seed": seed, "i": i, "m": m, "n": n, "snr_db": snr_db, "cond": cond}
+        floats = {"set": "channels", "seed": seed, "i": i}
         lattice = lib.lattice
         line["lll_0.75"] = outcome(lambda: lattice.lll_reduce(basis, 0.75).transform.tolist())
         line["lll_0.99"] = outcome(lambda: lattice.lll_reduce(basis, 0.99).transform.tolist())
         line["kz_lll"] = outcome(lambda: lattice.kz_approx_successive_lll(basis).transform.tolist())
         if m <= lattice.MAX_ENUM_DIM:
             line["kz"] = outcome(lambda: lattice.kz_reduce(basis).transform.tolist())
-            line["sv"] = outcome(lambda: shortest(lattice, basis))
-        yield line
+            line["sv"], floats["sv"] = split(lambda: lattice.shortest_vector(basis))
+        yield line, floats
 
 
 def brute_cases(lib, seed, count):
@@ -86,18 +99,14 @@ def brute_cases(lib, seed, count):
         g = lib.rates.ChannelInstance(rng.standard_normal((n, m)), 10.0 ** (snr_db / 10.0)).sic_cholesky
         line = {"set": "brute", "seed": seed, "i": i, "m": m, "n": n, "bound": bound,
                 "objective": objective, "snr_db": snr_db}
-
-        def run():
-            a, value = lib.lattice.brute_force_min_max(g, bound, objective)
-            return [a.tolist(), value]
-
-        line["brute"] = outcome(run)
-        yield line
+        floats = {"set": "brute", "seed": seed, "i": i}
+        line["brute"], floats["brute"] = split(lambda: lib.lattice.brute_force_min_max(g, bound, objective))
+        yield line, floats
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("out", help="JSON-lines output file")
+    p.add_argument("out", help="JSON-lines output file; the floats go next to it")
     here = os.path.dirname(os.path.abspath(__file__))
     p.add_argument("--src", default=os.path.join(here, "..", "src"),
                    help="directory that holds the ifwb package to test")
@@ -108,11 +117,13 @@ def main(argv=None) -> int:
     import ifwb.lattice
     import ifwb.rates
 
-    with open(args.out, "w") as f:
+    root, ext = os.path.splitext(args.out)
+    with open(args.out, "w") as f, open(root + ".floats" + ext, "w") as f_floats:
         for cases in (channel_cases, brute_cases):
             for seed in range(args.seeds):
-                for line in cases(ifwb, seed, args.per_seed):
+                for line, floats in cases(ifwb, seed, args.per_seed):
                     f.write(json.dumps(line) + "\n")
+                    f_floats.write(json.dumps(floats) + "\n")
     return 0
 
 
