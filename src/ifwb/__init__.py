@@ -5,10 +5,8 @@ from .errors import (
     DimensionTooLarge,
     IfwbError,
     InfeasiblePermutation,
-    NoFullRankCandidate,
     NotPositiveDefinite,
     NotSymmetric,
-    RankDeficient,
     SingularA,
     WrongDimension,
 )
@@ -23,18 +21,16 @@ from .lattice import (
     lll_reduce,
     shortest_vector,
 )
-from .linalg import cholesky_lower, complex_to_real, gram_schmidt
+from .linalg import cholesky_lower, complex_to_real
 from .rates import (
     AllocationPlan,
     ChannelInstance,
-    DecodingErrorBounds,
     EffectiveNoiseModel,
     GdfeFilters,
     IfRates,
     SicPlan,
     SuccessiveIfRates,
     allocate_rates,
-    decoding_error_bounds,
     gdfe_filters,
     if_effective_model,
     if_rates,

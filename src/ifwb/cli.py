@@ -89,13 +89,14 @@ def _read_channel(args) -> np.ndarray:
     return _channel_matrix(h, him)
 
 
-def _load_channel(args) -> ChannelInstance:
+def _load_channel(args) -> tuple[ChannelInstance, float]:
+    """The channel and its single --snr-db value in dB."""
     h = _read_channel(args)
     snr_db = _parse_snr_list(args.snr_db)
     if len(snr_db) != 1:
         raise CliError("this subcommand takes a single --snr-db value")
     try:
-        return ChannelInstance(h, 10.0 ** (snr_db[0] / 10.0))
+        return ChannelInstance(h, 10.0 ** (snr_db[0] / 10.0)), snr_db[0]
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -175,8 +176,7 @@ def _resolve_a(ch: ChannelInstance, args) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def cmd_rates(args) -> int:
-    ch = _load_channel(args)
-    snr_db = _parse_snr_list(args.snr_db)[0]
+    ch, snr_db = _load_channel(args)
     a = _resolve_a(ch, args)
     order = _parse_order(args.order, ch.num_streams) if args.order else None
 
@@ -232,8 +232,7 @@ def cmd_rates(args) -> int:
 
 
 def cmd_optimize_a(args) -> int:
-    ch = _load_channel(args)
-    snr_db = _parse_snr_list(args.snr_db)[0]
+    ch, snr_db = _load_channel(args)
     mode = _MODES[args.mode or "kz"]
     a = optimal_a(ch, mode, bound=args.coeff_bound)
     results = {
@@ -248,12 +247,9 @@ def cmd_optimize_a(args) -> int:
 
 
 def cmd_region(args) -> int:
-    ch = _load_channel(args)
-    snr_db = _parse_snr_list(args.snr_db)[0]
+    ch, snr_db = _load_channel(args)
     if args.coeff_bound is None or args.coeff_bound < 1:
         raise CliError("--coeff-bound must be a positive integer")
-    if ch.num_streams != 2:
-        raise WrongDimension("region subcommand needs a 2-stream channel")
     reg = enumerate_achievable_points(ch, args.coeff_bound)
 
     def point_dict(p):

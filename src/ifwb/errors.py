@@ -17,20 +17,12 @@ class NotPositiveDefinite(IfwbError):
     """Cholesky pivot hit zero or went negative."""
 
 
-class RankDeficient(IfwbError):
-    """Columns expected to be linearly independent are not."""
-
-
 class DegenerateBasis(IfwbError):
     """Lattice basis columns are (numerically) linearly dependent."""
 
 
 class DimensionTooLarge(IfwbError):
     """Input exceeds the guard for an exact (enumeration-scale) routine."""
-
-
-class NoFullRankCandidate(IfwbError):
-    """Exhaustive search found no full-rank integer matrix."""
 
 
 class SingularA(IfwbError):

@@ -164,7 +164,7 @@ class ReductionReport:
     reduced_basis: np.ndarray
     transform: np.ndarray  # int64, det +-1 exactly
     method: str
-    original_basis: np.ndarray = field(repr=False, default=None)
+    original_basis: np.ndarray = field(repr=False)
 
     @functools.cached_property
     def gram_schmidt_norms(self) -> np.ndarray:
@@ -174,11 +174,10 @@ class ReductionReport:
     def __post_init__(self):
         if not is_unimodular(self.transform):
             raise ValueError("reduction transform is not unimodular")
-        if self.original_basis is not None:
-            lhs = self.original_basis @ self.transform.astype(float)
-            scale = max(np.abs(self.reduced_basis).max(), 1e-300)
-            if np.abs(lhs - self.reduced_basis).max() > 1e-9 * scale:
-                raise ValueError("reduced basis does not match original @ transform")
+        lhs = self.original_basis @ self.transform.astype(float)
+        scale = max(np.abs(self.reduced_basis).max(), 1e-300)
+        if np.abs(lhs - self.reduced_basis).max() > 1e-9 * scale:
+            raise ValueError("reduced basis does not match original @ transform")
 
 
 def _make_report(original, u: list, method) -> ReductionReport:
@@ -397,24 +396,6 @@ def _insert(cols: list, u: list, k: int, z: list) -> None:
     u[k], u[s] = u[s], u[k]
 
 
-def _kz_common(basis, exact: bool, method: str) -> ReductionReport:
-    """LLL once; with exact, insert each level's shortest projected vector; size-reduce."""
-    original = validate_basis(basis)
-    m = original.shape[1]
-    cols = original.T.tolist()
-    u = _identity(m)
-    mu, nsq, gs = _lll_inplace(cols, u, 0.99)
-    fresh = 0  # rows of gs that are the Gram-Schmidt data of the current columns
-    for k in range(m - 1 if exact else 0):  # successive LLL keeps LLL's column k
-        z, _ = _enumerate_shortest(mu, nsq, k, [1] + [0] * (m - k - 1), nsq[k])
-        if any(z[1:]):
-            _insert(cols, u, k, z)  # changes columns k... only
-            mu, nsq, gs = _lll_inplace(cols, u, 0.99, lo=k + 1, start=min(k, fresh), prev=gs)
-            fresh = k + 1
-    _size_reduce(original @ _matrix(u, float), u)
-    return _make_report(original, u, method)
-
-
 def kz_reduce(basis) -> ReductionReport:
     """Exact Korkin-Zolotarev reduction by insertion into one LLL basis.
 
@@ -428,18 +409,34 @@ def kz_reduce(basis) -> ReductionReport:
     b = as_matrix(basis, "basis")
     if b.shape[1] > MAX_ENUM_DIM:
         raise DimensionTooLarge(f"exact KZ guarded to dimension {MAX_ENUM_DIM}")
-    return _kz_common(b, exact=True, method="kz_exact")
+    original = validate_basis(b)
+    m = original.shape[1]
+    cols = original.T.tolist()
+    u = _identity(m)
+    mu, nsq, gs = _lll_inplace(cols, u, 0.99)
+    fresh = 0  # rows of gs that are the Gram-Schmidt data of the current columns
+    for k in range(m - 1):
+        z, _ = _enumerate_shortest(mu, nsq, k, [1] + [0] * (m - k - 1), nsq[k])
+        if any(z[1:]):
+            _insert(cols, u, k, z)  # changes columns k... only
+            mu, nsq, gs = _lll_inplace(cols, u, 0.99, lo=k + 1, start=min(k, fresh), prev=gs)
+            fresh = k + 1
+    _size_reduce(original @ _matrix(u, float), u)
+    return _make_report(original, u, "kz_exact")
 
 
 def kz_approx_successive_lll(basis) -> ReductionReport:
-    """KZ approximation: LLL applied successively on shrinking projections.
+    """KZ approximation: LLL with delta = 0.99, then one size reduction.
 
     The projections of an LLL-reduced basis are LLL-reduced themselves, so
-    one LLL pass (delta = 0.99) and a size reduction give the whole result;
-    it is exact KZ whenever LLL's first vectors are shortest. No dimension
-    guard (nothing is enumerated).
+    this is also LLL applied successively on shrinking projections. No
+    dimension guard (nothing is enumerated); KZ optimality is not guaranteed.
     """
-    return _kz_common(as_matrix(basis, "basis"), exact=False, method="kz_successive_lll")
+    original = validate_basis(basis)
+    u = _identity(original.shape[1])
+    _lll_inplace(original.T.tolist(), u, 0.99)
+    _size_reduce(original @ _matrix(u, float), u)
+    return _make_report(original, u, "kz_successive_lll")
 
 
 def is_kz_reduced(basis, tol: float = 1e-9) -> bool:

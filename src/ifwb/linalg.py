@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, NotSymmetric, RankDeficient
+from .errors import NotPositiveDefinite, NotSymmetric
 
 SYMMETRY_RTOL = 1e-10
-RANK_RTOL = 1e-12
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -52,28 +51,6 @@ def cholesky_lower(s) -> np.ndarray:
         return np.linalg.cholesky(sym)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
-
-
-def gram_schmidt(f) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized Gram-Schmidt orthogonalization, read off a QR factorization.
-
-    Decomposes a full-column-rank F as F = Fstar @ R where the columns of
-    Fstar are mutually orthogonal (not normalized) and R is upper triangular
-    with unit diagonal; R[i, j] is the projection coefficient of column j
-    onto orthogonal direction i. With F = Q Rqr and r = diag(Rqr), Fstar is
-    Q diag(r) and R is diag(r)^{-1} Rqr. Raises RankDeficient when a
-    projected column's norm |r_jj| falls below RANK_RTOL * ||F||.
-    """
-    f = as_matrix(f, "F")
-    n, m = f.shape
-    if n < m:
-        raise RankDeficient(f"{m} columns cannot be independent in dimension {n}")
-    q, rqr = np.linalg.qr(f)
-    r = np.diag(rqr)
-    dependent = np.abs(r) < RANK_RTOL * max(np.linalg.norm(f), 1e-300)
-    if dependent.any():
-        raise RankDeficient(f"column {int(np.argmax(dependent))} is dependent on previous columns")
-    return q * r, np.triu(rqr / r[:, None])
 
 
 def complex_to_real(hc) -> np.ndarray:

@@ -10,8 +10,7 @@ Implements, for a real channel Y = H X + Z at a given per-stream SNR:
   sum-rate-optimal rate allocations,
 - the optimal integer matrix via Korkin-Zolotarev reduction (with an
   exhaustive oracle mode),
-- the equivalent decision-feedback (GDFE) filter realization,
-- closed-form decoding error bound quantities.
+- the equivalent decision-feedback (GDFE) filter realization.
 
 Rates are in bits per real channel use; logs are base 2 throughout.
 """
@@ -507,8 +506,8 @@ def optimal_a(ch: ChannelInstance, mode: str = "kz_exact", bound: int | None = N
     Modes:
     - "kz_exact": exact Korkin-Zolotarev reduction of the lattice spanned by
       G^T; the returned A is unimodular and provably optimal.
-    - "kz_lll": successive-LLL approximation of the KZ basis (no dimension
-      guard, optimality not guaranteed).
+    - "kz_lll": LLL with delta = 0.99 plus one size reduction of G^T (no
+      dimension guard, optimality not guaranteed).
     - "brute_force": exhaustive search over entries in [-bound, bound]
       (requires ``bound``; dimension guarded), used as an independent oracle.
     """
@@ -571,29 +570,3 @@ def gdfe_filters(ch: ChannelInstance, a) -> GdfeFilters:
         raise IfwbError("GDFE covariance diagonal does not match snr * l_mm^2")
     return GdfeFilters(B=b, Rmonic=rmonic, Cfeedback=cfeedback, Kee=kee)
 
-
-# ---------------------------------------------------------------------------
-# decoding error bounds
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DecodingErrorBounds:
-    poltyrev_exponent_positive: bool
-    construction_a_component_bound: float
-
-
-def decoding_error_bounds(rate: float, snr: float, sigma2_eff: float) -> DecodingErrorBounds:
-    """Sign of the fine-lattice error exponent and the per-component slip bound.
-
-    The exponent is positive iff (1/2) log2(snr / sigma2_eff) exceeds the
-    rate; the per-component bound for integer-lattice (PAM-alphabet)
-    codebooks is exp(-(pi e / 4) 2^{2 rate}).
-    """
-    if not (snr > 0 and sigma2_eff > 0 and rate >= 0):
-        raise ValueError("rate must be >= 0 and snr, sigma2_eff positive")
-    exponent = 0.5 * math.log2(snr / sigma2_eff) - rate
-    bound = math.exp(-(math.pi * math.e / 4.0) * 2.0 ** (2.0 * rate))
-    return DecodingErrorBounds(
-        poltyrev_exponent_positive=exponent > 0.0,
-        construction_a_component_bound=bound,
-    )

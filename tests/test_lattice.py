@@ -268,11 +268,15 @@ class TestKzSuccessiveLll:
             assert approx.gram_schmidt_norms.max() <= factor * exact.gram_schmidt_norms.max() + 1e-9
 
     def test_runs_beyond_enumeration_scale(self):
+        # dims 12-16 are those the benchmark reduces with successive LLL
         rng = np.random.default_rng(19)
-        basis = draw_basis(rng, 5)
-        rep = kz_approx_successive_lll(basis)
-        assert abs(int_det(rep.transform)) == 1
-        assert is_unimodular(rep.transform)
+        for m in (5, 12, 14, 16):
+            bases = [draw_basis(rng, m) for _ in range(3)]
+            bases += [_channel_g(rng, m, m, snr_db).T for snr_db in (10.0, 40.0, 120.0)]
+            for basis in bases:
+                rep = kz_approx_successive_lll(basis)
+                assert is_unimodular(rep.transform)
+                assert_size_reduced_and_lovasz(rep.reduced_basis, 0.99)
 
 
 def _objectives(g, a):

@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from ifwb.errors import NotPositiveDefinite, NotSymmetric, RankDeficient
-from ifwb.linalg import (
-    cholesky_lower,
-    complex_to_real,
-    gram_schmidt,
-)
+from ifwb.errors import NotPositiveDefinite, NotSymmetric
+from ifwb.linalg import cholesky_lower, complex_to_real
 
 
 class TestCholeskyLower:
@@ -49,45 +45,6 @@ class TestCholeskyLower:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             cholesky_lower([[np.nan, 0.0], [0.0, 1.0]])
-
-
-class TestGramSchmidt:
-    def test_identity(self):
-        fstar, r = gram_schmidt(np.eye(3))
-        np.testing.assert_array_equal(fstar, np.eye(3))
-        np.testing.assert_array_equal(r, np.eye(3))
-
-    def test_forced_2x2(self):
-        f = np.array([[1.0, 1.0], [0.0, 1.0]])  # columns (1,0), (1,1)
-        fstar, r = gram_schmidt(f)
-        np.testing.assert_allclose(fstar, np.eye(2), atol=1e-14)
-        np.testing.assert_allclose(r, [[1.0, 1.0], [0.0, 1.0]], atol=1e-14)
-
-    def test_reconstruction_and_orthogonality(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            f = rng.standard_normal((4, 3))
-            fstar, r = gram_schmidt(f)
-            assert np.abs(fstar @ r - f).max() <= 1e-10 * np.abs(f).max()
-            dots = fstar.T @ fstar
-            off = np.abs(dots - np.diag(np.diag(dots))).max()
-            assert off <= 1e-10 * np.abs(dots).max()
-            np.testing.assert_array_equal(np.diag(r), np.ones(3))
-
-    def test_det_equals_product_of_norms(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            f = rng.standard_normal((4, 4))
-            det = abs(np.linalg.det(f))
-            prod = float(np.prod(np.linalg.norm(gram_schmidt(f)[0], axis=0)))
-            assert abs(det - prod) <= 1e-9 * max(det, 1.0)
-
-    def test_rank_deficient(self):
-        f = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(RankDeficient):
-            gram_schmidt(f)
-        with pytest.raises(RankDeficient):
-            gram_schmidt(np.ones((2, 3)))
 
 
 def _realify(xc):

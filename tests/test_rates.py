@@ -14,7 +14,6 @@ from ifwb.rates import (
     _feasible_permutations,
     _is_feasible,
     allocate_rates,
-    decoding_error_bounds,
     gdfe_filters,
     if_effective_model,
     if_rates,
@@ -541,31 +540,6 @@ class TestGdfeFilters:
             sif = successive_if_rates(ch, a)
             assert np.abs(gdfe_rates - np.asarray(sif.per_step)).max() <= 1e-9
 
-
-class TestDecodingErrorBounds:
-    def test_closed_forms(self):
-        b0 = decoding_error_bounds(0.0, 10.0, 1.0)
-        assert np.isclose(b0.construction_a_component_bound, math.exp(-math.pi * math.e / 4.0))
-        b1 = decoding_error_bounds(1.0, 10.0, 1.0)
-        assert np.isclose(b1.construction_a_component_bound, math.exp(-math.pi * math.e))
-        assert abs(b1.construction_a_component_bound - 1.955e-4) <= 1e-6
-
-    def test_exponent_flag(self):
-        assert decoding_error_bounds(1.0, 100.0, 1.0).poltyrev_exponent_positive
-        assert not decoding_error_bounds(4.0, 100.0, 1.0).poltyrev_exponent_positive
-
-    def test_bound_strictly_decreasing_in_rate(self):
-        rates = np.linspace(0.0, 3.0, 20)
-        vals = [
-            decoding_error_bounds(r, 10.0, 1.0).construction_a_component_bound for r in rates
-        ]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            decoding_error_bounds(-1.0, 10.0, 1.0)
-        with pytest.raises(ValueError):
-            decoding_error_bounds(1.0, 0.0, 1.0)
 
 
 class TestScaleCovariance:
