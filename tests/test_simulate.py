@@ -19,6 +19,13 @@ from ifwb.simulate import (
 )
 
 
+def _equal_columns_cfg():
+    """Columns 3 and 4 of H are equal, so x3 - x4 is unobservable."""
+    ch = ChannelInstance(np.array([[1.5, 2.875, 1.2890625, 1.2890625]]), 1.0)
+    a = np.array([[0, 1, 0, 0], [1, 2, 1, 1], [-1, -1, 0, 0], [0, 1, 0, 1]])
+    return SimConfig(ch=ch, A=a, pam_points=2, trials=1000, seed=1)
+
+
 def example_cfg(trials=2000, seed=7, pam=4):
     ch = ChannelInstance(np.array([[np.sqrt(2.0), 1.0]]), 10.0**1.5)
     return SimConfig(ch=ch, A=EXAMPLE1_A, pam_points=pam, trials=trials, seed=seed)
@@ -120,15 +127,30 @@ class TestDecoderEquivalence:
         strict=True,
         reason="x3 - x4 is unobservable when columns 3 and 4 of H are equal, so the "
         "reduced channel puts the last statistic exactly on a slicing boundary; the "
-        "two decoders' rounding errors break that tie differently in 186 of 1000 trials",
+        "two decoders' rounding errors break that tie differently in 80 of 1000 trials",
     )
     def test_decoders_agree_on_equal_columns(self):
-        ch = ChannelInstance(np.array([[1.5, 2.875, 1.2890625, 1.2890625]]), 1.0)
-        a = np.array([[0, 1, 0, 0], [1, 2, 1, 1], [-1, -1, 0, 0], [0, 1, 0, 1]])
-        cfg = SimConfig(ch=ch, A=a, pam_points=2, trials=1000, seed=1)
+        cfg = _equal_columns_cfg()
         r1 = run_successive_if_trials(cfg)
         r2 = run_lr_aided_sic_trials(cfg)
         assert np.array_equal(r1.equation_decisions, r2.equation_decisions)
+
+    def test_equal_columns_disagree_only_on_last_step_ties(self):
+        cfg = _equal_columns_cfg()
+        k1 = run_successive_if_trials(cfg).equation_decisions
+        k2 = run_lr_aided_sic_trials(cfg).equation_decisions
+        assert np.array_equal(k1[:, :3], k2[:, :3])
+        # the last step's statistic (target / c - parity) / 2, fed back from
+        # the first three (agreed) decisions, sits on a half-integer
+        _, y, parity = _mono_draw(cfg, 1.0)
+        filters = gdfe_filters(cfg.ch, cfg.A)
+        c = cfg.symbol_scale
+        v_hat = c * (2.0 * k1[:, :3] + parity[:3])
+        target = (y @ filters.B.T)[:, 3] - v_hat @ filters.Cfeedback[3, :3]
+        stat = (target / c - parity[3]) / 2.0
+        on_tie = np.abs(stat - np.floor(stat) - 0.5) <= 1e-9
+        assert on_tie.sum() > cfg.trials // 2
+        assert np.all(on_tie[k1[:, 3] != k2[:, 3]])
 
     def test_mmse_sic_is_identity_path(self):
         ch = ChannelInstance(np.array([[np.sqrt(2.0), 1.0]]), 10.0**1.5)
@@ -200,8 +222,9 @@ class TestEffectiveNoiseStatistics:
 
 
 # ---------------------------------------------------------------------------
-# oracle: the whole-run simulator before chunking (one trials x M array per
-# quantity); delete with the next change to simulate.py
+# oracle: the whole-run, trial-major simulator before chunking (one
+# trials x M array per quantity), kept as the reference that the chunked,
+# stream-major kernel is compared against
 # ---------------------------------------------------------------------------
 
 def _mono_draw(cfg, noise_scale):
@@ -299,8 +322,9 @@ class TestChunkedMatchesMonolithic:
     @pytest.mark.parametrize("run, reference", _DECODERS)
     @pytest.mark.parametrize(
         "trials, m, pam",
-        [(1, 3, 4), (CHUNK_TRIALS - 1, 2, 16), (CHUNK_TRIALS, 4, 6),
-         (CHUNK_TRIALS + 1, 1, 2), (3 * CHUNK_TRIALS + 7, 8, 4)],
+        # around the second and sixth chunk boundaries (16383 to 49159 trials)
+        [(1, 3, 4), (2 * CHUNK_TRIALS - 1, 2, 16), (2 * CHUNK_TRIALS, 4, 6),
+         (2 * CHUNK_TRIALS + 1, 1, 2), (6 * CHUNK_TRIALS + 7, 8, 4)],
     )
     def test_at_chunk_boundaries(self, run, reference, trials, m, pam):
         cfg = dataclasses.replace(_oracle_cfg(m, pam, seed=trials), trials=trials)
@@ -318,6 +342,23 @@ class TestChunkedMatchesMonolithic:
         for trials in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7):
             cfg = dataclasses.replace(cfg, trials=trials)
             _assert_same_run(run(cfg, noise_scale), reference(cfg, noise_scale))
+
+
+class TestChunkSizeInvariance:
+    """CHUNK_TRIALS changes how a run is split, never what it decides."""
+
+    @pytest.mark.parametrize("run", [run_successive_if_trials, run_lr_aided_sic_trials])
+    @pytest.mark.parametrize(
+        "trials", [1, 6, 7, 8, 13, 14, 15, CHUNK_TRIALS - 1, CHUNK_TRIALS, CHUNK_TRIALS + 1]
+    )
+    def test_chunk_sizes_agree(self, monkeypatch, run, trials):
+        cfg = dataclasses.replace(_oracle_cfg(3, 4, seed=trials), trials=trials)
+        want = run(cfg, 1.0)
+        # every trial count is a boundary for chunks of 1; near the default
+        # boundary they would cost about a second per case
+        for chunk in (1, 7) if trials < 100 else (7,):
+            monkeypatch.setattr(simulate, "CHUNK_TRIALS", chunk)
+            _assert_same_run(run(cfg, 1.0), want)
 
 
 def test_memory_stays_bounded_as_trials_grow():

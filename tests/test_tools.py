@@ -1,10 +1,13 @@
-"""Smoke test of tools/lattice_identity.py on a few cases of each set."""
+"""Smoke tests of tools/lattice_identity.py and tools/sim_identity.py on a few cases."""
 
 import json
 import os
 import runpy
 
-TOOL = os.path.join(os.path.dirname(__file__), "..", "tools", "lattice_identity.py")
+import numpy as np
+
+TOOLS = os.path.join(os.path.dirname(__file__), "..", "tools")
+TOOL = os.path.join(TOOLS, "lattice_identity.py")
 
 
 def test_lattice_identity_writes_one_line_per_case(tmp_path):
@@ -22,3 +25,22 @@ def test_lattice_identity_writes_one_line_per_case(tmp_path):
     for line, f in zip(lines[3:], floats[3:]):
         assert all(isinstance(v, int) for row in line["brute"] for v in row)
         assert isinstance(f["brute"], float)
+
+
+def test_sim_identity_writes_one_line_per_run(tmp_path):
+    out = tmp_path / "sim.jsonl"
+    main = runpy.run_path(os.path.join(TOOLS, "sim_identity.py"))["main"]
+    assert main([str(out), "--seeds", "1", "--per-seed", "2"]) == 0
+    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    floats = [json.loads(line) for line in (tmp_path / "sim.floats.jsonl").read_text().splitlines()]
+    decoders = ("run_successive_if_trials", "run_lr_aided_sic_trials")
+    runs = [(i, d, s) for i in range(2) for d in decoders for s in (0.0, 1.0)]
+    assert [(x["i"], x["decoder"], x["noise_scale"]) for x in lines] == runs
+    keys = ("seed", "i", "decoder", "noise_scale")
+    assert [[f[k] for k in keys] for f in floats] == [[x[k] for k in keys] for x in lines]
+    for line, f in zip(lines, floats):
+        assert "error" not in line
+        assert len(line["symbol_errors"]) == len(line["equation_errors"]) == line["m"]
+        assert all(isinstance(v, int) and 0 <= v <= line["trials"] for v in line["symbol_errors"])
+        assert len(line["equation_decisions"]) == len(line["stream_decisions"]) == 64
+        assert np.shape(f["Ktilde"]) == (line["m"], line["m"])
