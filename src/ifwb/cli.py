@@ -300,9 +300,9 @@ def cmd_simulate(args) -> int:
         cfg = SimConfig(
             ch=ch,
             A=a,
-            pam_points=args.pam if args.pam is not None else int(raw.get("pam_points", 4)),
-            trials=args.trials if args.trials is not None else int(raw["trials"]),
-            seed=args.seed if args.seed is not None else int(raw.get("seed", 0)),
+            pam_points=args.pam if args.pam is not None else raw.get("pam_points", 4),
+            trials=args.trials if args.trials is not None else raw["trials"],
+            seed=args.seed if args.seed is not None else raw.get("seed", 0),
         )
         noise_scale = float(raw.get("noise_scale", 1.0))
     except (KeyError, TypeError, ValueError) as exc:

@@ -11,19 +11,35 @@ trial by trial.
 Randomness is counter-based: a Philox generator keyed by the seed produces
 the symbol and noise arrays in a fixed layout, so trial t's randomness is a
 pure function of (seed, t) and results do not depend on execution order.
-Trials are decoded CHUNK_TRIALS at a time, one contiguous row per stream, so
-memory beyond the returned decisions is about 4 M bytes per trial (the drawn
-symbol indices) plus one chunk's working arrays.
+Trials are decoded CHUNK_TRIALS at a time, one contiguous row per stream, and
+a run keeps only error counts and the effective-noise sums, so its memory is
+about 4 M bytes per trial (the drawn symbol indices) plus one chunk's working
+arrays. trial_decisions runs the same chunk loop and also returns every
+trial's decisions (16 M bytes per trial more), for cross-checks.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .rates import ChannelInstance, as_integer_matrix, gdfe_filters, if_effective_model
+
+
+def _integer(name: str, value) -> int:
+    """int(value) for an integer, an integral float such as 1e6 or a decimal
+    string; a bool, a fraction or a non-finite float is a ValueError, not truncated."""
+    try:
+        n = int(value)
+    except (OverflowError, ValueError):
+        n = None
+    truncated = n is None or (not isinstance(value, str) and n != value)
+    if truncated or isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -44,15 +60,15 @@ class SimConfig:
             )
         object.__setattr__(self, "A", a)
         self.A.setflags(write=False)
-        q = int(self.pam_points)
+        q = _integer("pam_points", self.pam_points)
         if q < 2 or q % 2 != 0:
             raise ValueError(f"pam_points must be an even integer >= 2, got {self.pam_points}")
         object.__setattr__(self, "pam_points", q)
-        t = int(self.trials)
+        t = _integer("trials", self.trials)
         if t < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         object.__setattr__(self, "trials", t)
-        object.__setattr__(self, "seed", int(self.seed) & (2**64 - 1))
+        object.__setattr__(self, "seed", _integer("seed", self.seed) & (2**64 - 1))
 
     @property
     def symbol_scale(self) -> float:
@@ -63,13 +79,12 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """Aggregated error rates plus raw per-trial decisions for cross-checks."""
+    """Aggregated error rates and effective-noise covariance of one run; the
+    per-trial decisions behind them come from trial_decisions."""
 
     symbol_error_rate: tuple  # per stream
     equation_error_rate: tuple  # per decoding step
     empirical_Ktilde: np.ndarray
-    equation_decisions: np.ndarray  # trials x M integer grid indices (a view)
-    stream_decisions: np.ndarray  # trials x M decoded odd integers (a view)
     trials: int
 
 
@@ -88,7 +103,7 @@ def _parities(cfg: SimConfig) -> np.ndarray:
     return np.array([int(row.sum()) % 2 for row in cfg.A], dtype=np.int64)
 
 
-def _run_chunks(cfg: SimConfig, noise_scale: float, model, decode) -> TrialResult:
+def _run_chunks(cfg: SimConfig, noise_scale: float, model, decode, record=None) -> TrialResult:
     """Draw, receive, decode and count the trials CHUNK_TRIALS at a time.
 
     The symbol indices are drawn in one piece, then the noise chunk by chunk
@@ -96,6 +111,8 @@ def _run_chunks(cfg: SimConfig, noise_scale: float, model, decode) -> TrialResul
     Per-stream arrays are M x chunk, so each step of ``decode(y, y_eff,
     v_int)`` works on contiguous rows; it fills ``v_int`` with the decided
     combinations 2k + parity, which are then inverted and sliced per stream.
+    ``record(lo, hi, v_int, odd_hat)``, if given, sees each chunk's decided
+    combinations and odd stream integers for trials lo to hi.
     """
     noise_scale = float(noise_scale)
     if not (math.isfinite(noise_scale) and noise_scale >= 0.0):
@@ -104,10 +121,7 @@ def _run_chunks(cfg: SimConfig, noise_scale: float, model, decode) -> TrialResul
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     u = rng.integers(0, q, size=(trials, m), dtype=np.int32)
     c = cfg.symbol_scale
-    parity = _parities(cfg).astype(float)[:, None]
     a_inv = np.linalg.inv(cfg.A)
-    eq_idx = np.empty((m, trials), dtype=np.int64)
-    stream_hat = np.empty((m, trials), dtype=np.int64)
     sym_errors, eq_errors = np.zeros((2, m), dtype=np.int64)
     zz = np.zeros((m, m))
     for lo in range(0, trials, CHUNK_TRIALS):
@@ -118,34 +132,25 @@ def _run_chunks(cfg: SimConfig, noise_scale: float, model, decode) -> TrialResul
         y_eff = model.B @ y.T
         v_int = np.empty_like(y_eff)
         decode(y, y_eff, v_int)
-        eq_idx[:, lo:hi] = (v_int - parity) / 2.0
         v_true = cfg.A @ odd.T  # exact small integers
         eq_errors += np.count_nonzero(v_int != v_true, axis=1)
         odd_hat = 2.0 * np.rint((a_inv @ v_int - 1.0) / 2.0) + 1.0
         np.clip(odd_hat, 1 - q, q - 1, out=odd_hat)
-        stream_hat[:, lo:hi] = odd_hat
         sym_errors += np.count_nonzero(odd_hat != odd.T, axis=1)
+        if record is not None:
+            record(lo, hi, v_int, odd_hat)
         z = y_eff - c * v_true
         zz += z @ z.T
     return TrialResult(
         symbol_error_rate=tuple((sym_errors / trials).tolist()),
         equation_error_rate=tuple((eq_errors / trials).tolist()),
         empirical_Ktilde=zz / trials,
-        equation_decisions=eq_idx.T,
-        stream_decisions=stream_hat.T,
         trials=trials,
     )
 
 
-def run_successive_if_trials(cfg: SimConfig, noise_scale: float = 1.0) -> TrialResult:
-    """Successive integer-forcing with noise prediction.
-
-    Step m subtracts sqrt(snr) * L[m, :m] @ w from the m-th equalized row,
-    slices the result to the m-th combination's integer grid, then recovers
-    the whitened noise coordinate w_m from its own decision. Streams are
-    solved from the decided combinations at the end. ``noise_scale=0`` is the
-    noiseless diagnostic.
-    """
+def _successive_if(cfg: SimConfig):
+    """The (model, decode) pair of the noise-prediction decoder, for _run_chunks."""
     model = if_effective_model(cfg.ch, cfg.A)
     parity = _parities(cfg)
     c = cfg.symbol_scale
@@ -158,18 +163,14 @@ def run_successive_if_trials(cfg: SimConfig, noise_scale: float = 1.0) -> TrialR
             v_int[step] = _slice_grid(target, c, parity[step])
             w[step] = (target - c * v_int[step]) / (sq * model.L[step, step])
 
-    return _run_chunks(cfg, noise_scale, model, decode)
+    return model, decode
 
 
-def run_lr_aided_sic_trials(cfg: SimConfig, noise_scale: float = 1.0) -> TrialResult:
-    """Decision-feedback SIC on the unimodularly reduced channel.
+def _lr_aided_sic(cfg: SimConfig):
+    """The (model, decode) pair of the decision-feedback decoder, for _run_chunks.
 
-    Uses the monic feedback form: the forward filter is R B and decided
-    combinations are fed back through R - I. For any full-rank A this makes
-    the same per-trial decisions as run_successive_if_trials, realizing
-    lattice-reduction-aided SIC when A comes from a reduction; the two differ
-    only where a statistic lies exactly on a slicing boundary, which rounding
-    then breaks either way.
+    y_eff (the prediction path's equalizer output) carries the effective-noise
+    bookkeeping; the decisions come from the forward filter's output.
     """
     filters = gdfe_filters(cfg.ch, cfg.A)
     model = if_effective_model(cfg.ch, cfg.A)
@@ -184,18 +185,65 @@ def run_lr_aided_sic_trials(cfg: SimConfig, noise_scale: float = 1.0) -> TrialRe
             v_int[step] = _slice_grid(target, c, parity[step])
             v_hat[step] = c * v_int[step]
 
-    # y_eff (the prediction path's equalizer output) carries the effective-noise bookkeeping
-    return _run_chunks(cfg, noise_scale, model, decode)
+    return model, decode
+
+
+def _identity_a(cfg: SimConfig) -> SimConfig:
+    return dataclasses.replace(cfg, A=np.eye(cfg.ch.num_streams, dtype=np.int64))
+
+
+def run_successive_if_trials(cfg: SimConfig, noise_scale: float = 1.0) -> TrialResult:
+    """Successive integer-forcing with noise prediction.
+
+    Step m subtracts sqrt(snr) * L[m, :m] @ w from the m-th equalized row,
+    slices the result to the m-th combination's integer grid, then recovers
+    the whitened noise coordinate w_m from its own decision. Streams are
+    solved from the decided combinations at the end. ``noise_scale=0`` is the
+    noiseless diagnostic.
+    """
+    return _run_chunks(cfg, noise_scale, *_successive_if(cfg))
+
+
+def run_lr_aided_sic_trials(cfg: SimConfig, noise_scale: float = 1.0) -> TrialResult:
+    """Decision-feedback SIC on the unimodularly reduced channel.
+
+    Uses the monic feedback form: the forward filter is R B and decided
+    combinations are fed back through R - I. For any full-rank A this makes
+    the same per-trial decisions as run_successive_if_trials, realizing
+    lattice-reduction-aided SIC when A comes from a reduction; the two differ
+    only where a statistic lies exactly on a slicing boundary, which rounding
+    then breaks either way.
+    """
+    return _run_chunks(cfg, noise_scale, *_lr_aided_sic(cfg))
 
 
 def run_mmse_sic_trials(cfg: SimConfig, noise_scale: float = 1.0) -> TrialResult:
     """Plain MMSE-SIC: the A = I special case of successive integer forcing."""
-    m = cfg.ch.num_streams
-    forced = SimConfig(
-        ch=cfg.ch,
-        A=np.eye(m, dtype=np.int64),
-        pam_points=cfg.pam_points,
-        trials=cfg.trials,
-        seed=cfg.seed,
-    )
-    return run_successive_if_trials(forced, noise_scale=noise_scale)
+    return run_successive_if_trials(_identity_a(cfg), noise_scale=noise_scale)
+
+
+def trial_decisions(cfg: SimConfig, noise_scale: float, decoder: str):
+    """Every trial's decisions in the run of run_<decoder>_trials(cfg, noise_scale).
+
+    ``decoder`` is "successive_if", "lr_aided_sic" or "mmse_sic". The run is
+    the same chunk loop, which also stores each chunk's decisions in
+    stream-major M x trials int64 arrays (16 M bytes per trial). Returns the
+    integer grid indices k of the decided combinations 2k + parity and the
+    decoded odd stream integers, each as a trials x M view.
+    """
+    if decoder == "mmse_sic":
+        cfg, decoder = _identity_a(cfg), "successive_if"
+    builders = {"successive_if": _successive_if, "lr_aided_sic": _lr_aided_sic}
+    if decoder not in builders:
+        raise ValueError(f"unknown decoder {decoder!r}")
+    model, decode = builders[decoder](cfg)
+    eq_idx = np.empty((cfg.ch.num_streams, cfg.trials), dtype=np.int64)
+    stream_hat = np.empty_like(eq_idx)
+    parity = _parities(cfg).astype(float)[:, None]
+
+    def record(lo, hi, v_int, odd_hat):
+        eq_idx[:, lo:hi] = (v_int - parity) / 2.0
+        stream_hat[:, lo:hi] = odd_hat
+
+    _run_chunks(cfg, noise_scale, model, decode, record)
+    return eq_idx.T, stream_hat.T

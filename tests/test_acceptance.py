@@ -29,7 +29,7 @@ from ifwb.rates import (
     white_input_capacity,
 )
 from ifwb.region import pentagon_contains
-from ifwb.simulate import SimConfig, run_lr_aided_sic_trials, run_mmse_sic_trials, run_successive_if_trials
+from ifwb.simulate import SimConfig, run_mmse_sic_trials, run_successive_if_trials, trial_decisions
 
 ANCHOR_TOL = 5e-4
 
@@ -173,10 +173,10 @@ def test_criterion_7_simulator_validation():
         # (a) successive IF and LR-aided SIC agree trial by trial
         ch = example1_channel()
         cfg = SimConfig(ch=ch, A=EXAMPLE1_A, pam_points=4, trials=10000, seed=7001)
-        np_path = run_successive_if_trials(cfg)
-        lr_path = run_lr_aided_sic_trials(cfg)
-        assert np.array_equal(np_path.equation_decisions, lr_path.equation_decisions)
-        assert np.array_equal(np_path.stream_decisions, lr_path.stream_decisions)
+        np_eq, np_streams = trial_decisions(cfg, 1.0, "successive_if")
+        lr_eq, lr_streams = trial_decisions(cfg, 1.0, "lr_aided_sic")
+        assert np.array_equal(np_eq, lr_eq)
+        assert np.array_equal(np_streams, lr_streams)
 
         # (b) empirical effective-noise covariance matches the analytic one
         rng = np.random.default_rng(7002)

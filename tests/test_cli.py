@@ -213,6 +213,28 @@ class TestSimulate:
         assert message in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("trials", "2.7"), ("trials", "true"), ("trials", "Infinity"), ("pam_points", "4.9"),
+         ("seed", "1.5")],
+    )
+    def test_rejects_non_integers(self, capsys, tmp_path, field, value):
+        path = tmp_path / "fraction.json"
+        fields = {"trials": "100", "pam_points": "4", "seed": "1", field: value}
+        path.write_text('{"channel": [[1.0, 0.0], [0.0, 1.0]], "snr_db": 20, '
+                        + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+        assert main(["simulate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"bad simulation config: {field} must be an integer" in captured.err
+        assert captured.out == ""
+
+    def test_accepts_integral_floats(self, capsys, tmp_path):
+        path = tmp_path / "floats.json"
+        path.write_text('{"channel": [[1.0, 0.0], [0.0, 1.0]], "snr_db": 20, '
+                        '"trials": 1e2, "pam_points": 4.0, "seed": 2e0}')
+        res = run_json(capsys, ["simulate", "--config", str(path)])["results"]
+        assert (res["trials"], res["pam_points"], res["seed"]) == (100, 4, 2)
+
     def test_rejects_garbage_config(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -16,6 +16,7 @@ from ifwb.simulate import (
     run_lr_aided_sic_trials,
     run_mmse_sic_trials,
     run_successive_if_trials,
+    trial_decisions,
 )
 
 
@@ -29,6 +30,21 @@ def _equal_columns_cfg():
 def example_cfg(trials=2000, seed=7, pam=4):
     ch = ChannelInstance(np.array([[np.sqrt(2.0), 1.0]]), 10.0**1.5)
     return SimConfig(ch=ch, A=EXAMPLE1_A, pam_points=pam, trials=trials, seed=seed)
+
+
+def assert_same_decisions(got, want):
+    """Equation indices and stream decisions, each trials x M, agree exactly."""
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+def assert_same_counts(got, want, ktilde_rtol=0.0):
+    """Error rates agree exactly, empirical Ktilde to ktilde_rtol of its largest entry."""
+    assert got.trials == want.trials
+    assert got.symbol_error_rate == want.symbol_error_rate
+    assert got.equation_error_rate == want.equation_error_rate
+    scale = np.abs(want.empirical_Ktilde).max()
+    assert np.abs(got.empirical_Ktilde - want.empirical_Ktilde).max() <= ktilde_rtol * scale
 
 
 def pam_ser_closed_form(q_points: int, snr: float) -> float:
@@ -64,6 +80,27 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="noise_scale"):
             run(example_cfg(trials=10), noise_scale=noise_scale)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("trials", 2.7), ("trials", True), ("trials", math.inf), ("trials", math.nan),
+         ("pam_points", 4.9), ("pam_points", np.True_), ("seed", 1.5), ("seed", False)],
+    )
+    def test_rejects_non_integers(self, field, value):
+        fields = dict(ch=ChannelInstance(np.eye(2), 100.0), A=np.eye(2, dtype=int),
+                      pam_points=4, trials=10, seed=0)
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimConfig(**dict(fields, **{field: value}))
+
+    def test_accepts_integral_floats_and_numpy_integers(self):
+        cfg = SimConfig(ch=ChannelInstance(np.eye(2), 100.0), A=np.eye(2, dtype=int),
+                        pam_points=np.int64(4), trials=1e3, seed=np.float64(2.0**40))
+        assert (cfg.pam_points, cfg.trials, cfg.seed) == (4, 1000, 2**40)
+        assert all(type(v) is int for v in (cfg.pam_points, cfg.trials, cfg.seed))
+
+    def test_rejects_unknown_decoder(self):
+        with pytest.raises(ValueError, match="unknown decoder"):
+            trial_decisions(example_cfg(trials=10), 1.0, "zero_forcing")
+
 
 class TestDeterminism:
     def test_identical_configs_identical_results(self):
@@ -71,13 +108,14 @@ class TestDeterminism:
         r1 = run_successive_if_trials(cfg)
         r2 = run_successive_if_trials(cfg)
         assert r1.symbol_error_rate == r2.symbol_error_rate
-        assert np.array_equal(r1.equation_decisions, r2.equation_decisions)
         assert np.array_equal(r1.empirical_Ktilde, r2.empirical_Ktilde)
+        assert_same_decisions(trial_decisions(cfg, 1.0, "successive_if"),
+                              trial_decisions(cfg, 1.0, "successive_if"))
 
     def test_seed_changes_results(self):
-        r1 = run_successive_if_trials(example_cfg(seed=1))
-        r2 = run_successive_if_trials(example_cfg(seed=2))
-        assert not np.array_equal(r1.equation_decisions, r2.equation_decisions)
+        k1, _ = trial_decisions(example_cfg(seed=1), 1.0, "successive_if")
+        k2, _ = trial_decisions(example_cfg(seed=2), 1.0, "successive_if")
+        assert not np.array_equal(k1, k2)
 
 
 class TestNoiselessDiagnostic:
@@ -108,10 +146,8 @@ class TestNoiselessDiagnostic:
 class TestDecoderEquivalence:
     def test_lr_sic_matches_noise_prediction_trial_by_trial(self):
         cfg = example_cfg(trials=10000, seed=123)
-        np_path = run_successive_if_trials(cfg)
-        lr_path = run_lr_aided_sic_trials(cfg)
-        assert np.array_equal(np_path.equation_decisions, lr_path.equation_decisions)
-        assert np.array_equal(np_path.stream_decisions, lr_path.stream_decisions)
+        assert_same_decisions(trial_decisions(cfg, 1.0, "successive_if"),
+                              trial_decisions(cfg, 1.0, "lr_aided_sic"))
 
     def test_equivalence_on_random_channels(self):
         rng = np.random.default_rng(50)
@@ -119,9 +155,9 @@ class TestDecoderEquivalence:
             ch = ChannelInstance(rng.standard_normal((3, 3)), 10.0)
             a = optimal_a(ch, "kz_exact")
             cfg = SimConfig(ch=ch, A=a, pam_points=4, trials=2000, seed=int(rng.integers(1 << 31)))
-            r1 = run_successive_if_trials(cfg)
-            r2 = run_lr_aided_sic_trials(cfg)
-            assert np.array_equal(r1.equation_decisions, r2.equation_decisions)
+            k1, _ = trial_decisions(cfg, 1.0, "successive_if")
+            k2, _ = trial_decisions(cfg, 1.0, "lr_aided_sic")
+            assert np.array_equal(k1, k2)
 
     @pytest.mark.xfail(
         strict=True,
@@ -131,14 +167,14 @@ class TestDecoderEquivalence:
     )
     def test_decoders_agree_on_equal_columns(self):
         cfg = _equal_columns_cfg()
-        r1 = run_successive_if_trials(cfg)
-        r2 = run_lr_aided_sic_trials(cfg)
-        assert np.array_equal(r1.equation_decisions, r2.equation_decisions)
+        k1, _ = trial_decisions(cfg, 1.0, "successive_if")
+        k2, _ = trial_decisions(cfg, 1.0, "lr_aided_sic")
+        assert np.array_equal(k1, k2)
 
     def test_equal_columns_disagree_only_on_last_step_ties(self):
         cfg = _equal_columns_cfg()
-        k1 = run_successive_if_trials(cfg).equation_decisions
-        k2 = run_lr_aided_sic_trials(cfg).equation_decisions
+        k1, _ = trial_decisions(cfg, 1.0, "successive_if")
+        k2, _ = trial_decisions(cfg, 1.0, "lr_aided_sic")
         assert np.array_equal(k1[:, :3], k2[:, :3])
         # the last step's statistic (target / c - parity) / 2, fed back from
         # the first three (agreed) decisions, sits on a half-integer
@@ -155,19 +191,18 @@ class TestDecoderEquivalence:
     def test_mmse_sic_is_identity_path(self):
         ch = ChannelInstance(np.array([[np.sqrt(2.0), 1.0]]), 10.0**1.5)
         cfg_ident = SimConfig(ch=ch, A=np.eye(2, dtype=int), pam_points=4, trials=3000, seed=9)
-        via_sic = run_mmse_sic_trials(cfg_ident)
-        via_sif = run_successive_if_trials(cfg_ident)
-        assert np.array_equal(via_sic.equation_decisions, via_sif.equation_decisions)
-        assert np.array_equal(via_sic.stream_decisions, via_sif.stream_decisions)
+        assert_same_counts(run_mmse_sic_trials(cfg_ident), run_successive_if_trials(cfg_ident))
+        assert_same_decisions(trial_decisions(cfg_ident, 1.0, "mmse_sic"),
+                              trial_decisions(cfg_ident, 1.0, "successive_if"))
 
     def test_mmse_sic_forces_identity(self):
         cfg = example_cfg(trials=100)  # A is not the identity here
-        forced = run_mmse_sic_trials(cfg)
         ident_cfg = SimConfig(
             ch=cfg.ch, A=np.eye(2, dtype=int), pam_points=4, trials=100, seed=cfg.seed
         )
-        direct = run_successive_if_trials(ident_cfg)
-        assert np.array_equal(forced.equation_decisions, direct.equation_decisions)
+        assert_same_counts(run_mmse_sic_trials(cfg), run_successive_if_trials(ident_cfg))
+        assert_same_decisions(trial_decisions(cfg, 1.0, "mmse_sic"),
+                              trial_decisions(ident_cfg, 1.0, "successive_if"))
 
 
 class TestClosedFormOracle:
@@ -224,7 +259,8 @@ class TestEffectiveNoiseStatistics:
 # ---------------------------------------------------------------------------
 # oracle: the whole-run, trial-major simulator before chunking (one
 # trials x M array per quantity), kept as the reference that the chunked,
-# stream-major kernel is compared against
+# stream-major kernel is compared against; it returns its decisions beside
+# a counts-only TrialResult
 # ---------------------------------------------------------------------------
 
 def _mono_draw(cfg, noise_scale):
@@ -249,14 +285,13 @@ def _mono_finalize(cfg, odd, eq_idx, y_eff, parity):
     lim = cfg.pam_points - 1
     stream_hat = np.clip(2 * np.rint((x_hat - 1.0) / 2.0).astype(np.int64) + 1, -lim, lim)
     z_eff = y_eff - cfg.symbol_scale * v_true.astype(float)
-    return simulate.TrialResult(
+    result = simulate.TrialResult(
         symbol_error_rate=tuple(np.mean(stream_hat != odd, axis=0).tolist()),
         equation_error_rate=tuple(np.mean(eq_idx != eq_true, axis=0).tolist()),
         empirical_Ktilde=z_eff.T @ z_eff / cfg.trials,
-        equation_decisions=eq_idx,
-        stream_decisions=stream_hat,
         trials=cfg.trials,
     )
+    return result, (eq_idx, stream_hat)
 
 
 def _mono_successive_if(cfg, noise_scale):
@@ -299,6 +334,10 @@ _DECODERS = [
 ]
 
 
+def _decoder_name(run):
+    return run.__name__.removeprefix("run_").removesuffix("_trials")
+
+
 def _oracle_cfg(m, pam, seed):
     """KZ-exact config on an N x M Gaussian channel with N != M, 5-25 dB."""
     rng = np.random.default_rng([m, pam, seed])
@@ -307,13 +346,11 @@ def _oracle_cfg(m, pam, seed):
     return SimConfig(ch=ch, A=optimal_a(ch, "kz_exact"), pam_points=pam, trials=1, seed=seed)
 
 
-def _assert_same_run(got, want):
-    assert np.array_equal(got.equation_decisions, want.equation_decisions)
-    assert np.array_equal(got.stream_decisions, want.stream_decisions)
-    assert got.symbol_error_rate == want.symbol_error_rate
-    assert got.equation_error_rate == want.equation_error_rate
-    scale = np.abs(want.empirical_Ktilde).max()
-    assert np.abs(got.empirical_Ktilde - want.empirical_Ktilde).max() <= 1e-12 * scale
+def _assert_matches_reference(run, cfg, noise_scale, reference):
+    """run's counts and trial_decisions' decisions agree with the whole-run oracle."""
+    want, want_decisions = reference(cfg, noise_scale)
+    assert_same_decisions(trial_decisions(cfg, noise_scale, _decoder_name(run)), want_decisions)
+    assert_same_counts(run(cfg, noise_scale), want, ktilde_rtol=1e-12)
 
 
 class TestChunkedMatchesMonolithic:
@@ -329,7 +366,7 @@ class TestChunkedMatchesMonolithic:
     def test_at_chunk_boundaries(self, run, reference, trials, m, pam):
         cfg = dataclasses.replace(_oracle_cfg(m, pam, seed=trials), trials=trials)
         for noise_scale in (0.0, 1.0):
-            _assert_same_run(run(cfg, noise_scale), reference(cfg, noise_scale))
+            _assert_matches_reference(run, cfg, noise_scale, reference)
 
     @pytest.mark.parametrize("run, reference", _DECODERS)
     @pytest.mark.parametrize("noise_scale", [0.0, 1.0])
@@ -341,7 +378,7 @@ class TestChunkedMatchesMonolithic:
         cfg = _oracle_cfg(m, pam, seed=m * pam)
         for trials in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7):
             cfg = dataclasses.replace(cfg, trials=trials)
-            _assert_same_run(run(cfg, noise_scale), reference(cfg, noise_scale))
+            _assert_matches_reference(run, cfg, noise_scale, reference)
 
 
 class TestChunkSizeInvariance:
@@ -354,24 +391,28 @@ class TestChunkSizeInvariance:
     def test_chunk_sizes_agree(self, monkeypatch, run, trials):
         cfg = dataclasses.replace(_oracle_cfg(3, 4, seed=trials), trials=trials)
         want = run(cfg, 1.0)
+        want_decisions = trial_decisions(cfg, 1.0, _decoder_name(run))
         # every trial count is a boundary for chunks of 1; near the default
         # boundary they would cost about a second per case
         for chunk in (1, 7) if trials < 100 else (7,):
             monkeypatch.setattr(simulate, "CHUNK_TRIALS", chunk)
-            _assert_same_run(run(cfg, 1.0), want)
+            assert_same_decisions(trial_decisions(cfg, 1.0, _decoder_name(run)), want_decisions)
+            assert_same_counts(run(cfg, 1.0), want, ktilde_rtol=1e-12)
 
 
 def test_memory_stays_bounded_as_trials_grow():
-    """Beyond the returned decisions, a run holds only the drawn symbol indices
-    (int32, 4 M bytes per trial) and one chunk's working arrays."""
+    """A run holds only the drawn symbol indices (int32, 4 M bytes per trial)
+    and one chunk's working arrays: no per-trial decisions."""
     rng = np.random.default_rng(60)
     ch = ChannelInstance(rng.standard_normal((4, 4)), 100.0)
     cfg = SimConfig(ch=ch, A=optimal_a(ch, "kz_exact"), pam_points=4, trials=200_000, seed=3)
-    tracemalloc.start()
-    try:
-        result = run_successive_if_trials(cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    returned = result.equation_decisions.nbytes + result.stream_decisions.nbytes
-    assert peak - returned <= 4 * 4 * cfg.trials + 16 * 2**20
+    # about ten 4 x chunk float64 arrays are live at once; allow sixteen
+    chunk_arrays = 16 * 8 * 4 * simulate.CHUNK_TRIALS
+    for run in (run_successive_if_trials, run_lr_aided_sic_trials):
+        tracemalloc.start()
+        try:
+            run(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 4 * cfg.trials + chunk_arrays, run.__name__

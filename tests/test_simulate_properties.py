@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from ifwb import simulate
 from ifwb.rates import ChannelInstance, optimal_a
-from ifwb.simulate import SimConfig, run_lr_aided_sic_trials, run_successive_if_trials
+from ifwb.simulate import SimConfig, trial_decisions
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 SMALL_CHUNK = 7
@@ -43,7 +43,7 @@ def sim_configs(draw):
 @given(cfg=sim_configs())
 def test_noise_prediction_and_lr_aided_sic_decide_alike(cfg):
     with mock.patch.object(simulate, "CHUNK_TRIALS", SMALL_CHUNK):
-        sif = run_successive_if_trials(cfg)
-        lr = run_lr_aided_sic_trials(cfg)
-    assert np.array_equal(sif.equation_decisions, lr.equation_decisions)
-    assert np.array_equal(sif.stream_decisions, lr.stream_decisions)
+        sif_eq, sif_streams = trial_decisions(cfg, 1.0, "successive_if")
+        lr_eq, lr_streams = trial_decisions(cfg, 1.0, "lr_aided_sic")
+    assert np.array_equal(sif_eq, lr_eq)
+    assert np.array_equal(sif_streams, lr_streams)

@@ -12,16 +12,18 @@ with the defaults).
 
 OUT.jsonl holds each run's inputs, its per-stream symbol and per-step
 equation error counts, and the sha256 of its decisions (the trials x M int64
-equation indices and stream decisions, in C order); OUT.floats.jsonl holds,
-line for line, its empirical Ktilde, so a last-bit change of a sum does not
-hide among changed decisions. A run that raises is written as its error type
+equation indices and stream decisions of simulate.trial_decisions, in C
+order); OUT.floats.jsonl holds, line for line, its empirical Ktilde, so a
+last-bit change of a sum does not hide among changed decisions. A run that raises is written as its error type
 and message, in OUT.
 
 The library is imported from --src (default: the src/ next to this script),
-so comparing the decisions of two checkouts is one cmp of two output files:
+so comparing the decisions of two checkouts is one cmp of two output files.
+Checkouts whose run_*_trials still return the decisions have no
+simulate.trial_decisions; run each checkout's own copy of the tool:
 
     python3 tools/sim_identity.py new.jsonl
-    python3 tools/sim_identity.py old.jsonl --src ../old-checkout/src
+    python3 ../old-checkout/tools/sim_identity.py old.jsonl
     cmp old.jsonl new.jsonl
 """
 
@@ -64,7 +66,8 @@ def run_cases(lib, seed, count):
         ch = lib.rates.ChannelInstance(rng.standard_normal((n, m)), 10.0 ** (snr_db / 10.0))
         a = random_full_rank(rng, m) if i % 2 else lib.rates.optimal_a(ch, "kz_exact")
         cfg = sim.SimConfig(ch=ch, A=a, pam_points=pam, trials=trials, seed=run_seed)
-        for decoder in ("run_successive_if_trials", "run_lr_aided_sic_trials"):
+        for name in ("successive_if", "lr_aided_sic"):
+            decoder = f"run_{name}_trials"
             for noise_scale in (0.0, 1.0):
                 line = {"seed": seed, "i": i, "m": m, "n": n, "snr_db": snr_db, "pam": pam,
                         "trials": trials, "run_seed": run_seed, "A": a.tolist(),
@@ -72,14 +75,16 @@ def run_cases(lib, seed, count):
                 floats = {"seed": seed, "i": i, "decoder": decoder, "noise_scale": noise_scale}
                 try:
                     result = getattr(sim, decoder)(cfg, noise_scale)
+                    equation_decisions, stream_decisions = sim.trial_decisions(
+                        cfg, noise_scale, name)
                 except Exception as exc:  # every outcome is recorded, errors included
                     line["error"] = {"error": type(exc).__name__, "message": str(exc)}
                 else:
                     sym, eq = result.symbol_error_rate, result.equation_error_rate
                     line["symbol_errors"] = [round(r * trials) for r in sym]
                     line["equation_errors"] = [round(r * trials) for r in eq]
-                    line["equation_decisions"] = digest(result.equation_decisions)
-                    line["stream_decisions"] = digest(result.stream_decisions)
+                    line["equation_decisions"] = digest(equation_decisions)
+                    line["stream_decisions"] = digest(stream_decisions)
                     floats["Ktilde"] = result.empirical_Ktilde.tolist()
                 yield line, floats
 
