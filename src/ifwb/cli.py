@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -135,6 +136,41 @@ def _one_based(perm) -> list[int]:
     return [int(i) + 1 for i in perm]
 
 
+def _json_value(obj, newline: str) -> str:
+    """obj as json.dumps(obj, indent=2) writes it where its lines start with newline."""
+    kind = type(obj)
+    if kind is float and obj - obj == 0.0:  # finite
+        return float.__repr__(obj)
+    if kind is str:
+        return _json_str(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        items = [_json_value(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict and all(type(k) is str for k in obj):
+        if not obj:
+            return "{}"
+        items = [_json_str(k) + ": " + _json_value(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    # bool, None, NaN, infinities, subclasses such as np.float64, other keys
+    return json.dumps(obj, indent=2).replace("\n", newline)
+
+
+def _json_text(report) -> str:
+    """The report as json.dumps(report, indent=2) + "\n" writes it, byte for byte.
+
+    With indent set, json.dumps cannot use its C encoder; this writer handles
+    the exact float, int, str, dict, list and tuple that reports are made of
+    and hands every other value to json.dumps, which also raises its TypeError.
+    JSON strings hold no raw newline, so re-indenting json.dumps text is safe.
+    """
+    return _json_value(report, "\n") + "\n"
+
+
 def _write_text(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -227,7 +263,7 @@ def cmd_rates(args) -> int:
         "successive_if_identity": sif.sum_rate + sif.det_gap - cwi,
     }
     report = _report(ch, snr_db, results, residuals)
-    _write_text(json.dumps(report, indent=2) + "\n", args.out)
+    _write_text(_json_text(report), args.out)
     return 0
 
 
@@ -242,7 +278,7 @@ def cmd_optimize_a(args) -> int:
         "max_step_residual": successive_objective(ch, a),
         "successive_if_per_step": list(successive_if_rates(ch, a).per_step),
     }
-    _write_text(json.dumps(_report(ch, snr_db, results, {}), indent=2) + "\n", args.out)
+    _write_text(_json_text(_report(ch, snr_db, results, {})), args.out)
     return 0
 
 
@@ -268,7 +304,7 @@ def cmd_region(args) -> int:
         "points": [point_dict(p) for p in reg.points],
         "frontier": [point_dict(p) for p in reg.frontier],
     }
-    _write_text(json.dumps(_report(ch, snr_db, results, {}), indent=2) + "\n", args.out)
+    _write_text(_json_text(_report(ch, snr_db, results, {})), args.out)
     csv_lines = ["R1,R2,source,detA"]
     csv_lines += [
         f"{p.rates[0]!r},{p.rates[1]!r},{p.source},{p.det_a}" for p in reg.frontier
@@ -291,7 +327,11 @@ def cmd_simulate(args) -> int:
             h = np.array(raw["channel"], dtype=float)
         him = np.array(raw["channel_imag"], dtype=float) if "channel_imag" in raw else None
         h = _channel_matrix(h, him)
-        ch = ChannelInstance(h, 10.0 ** (float(raw["snr_db"]) / 10.0))
+        for name in ("snr_db", "noise_scale"):  # float() would read a bool as 1 or 0
+            if isinstance(raw.get(name), bool):
+                raise ValueError(f"{name} must be a number, got {raw[name]!r}")
+        snr_db = float(raw["snr_db"])
+        ch = ChannelInstance(h, 10.0 ** (snr_db / 10.0))
         a = (
             as_integer_matrix(raw["a_matrix"])
             if "a_matrix" in raw
@@ -324,8 +364,8 @@ def cmd_simulate(args) -> int:
             np.abs(result.empirical_Ktilde - analytic).max() / scale
         ),
     }
-    report = _report(ch, float(raw["snr_db"]), results, {})
-    _write_text(json.dumps(report, indent=2) + "\n", args.out)
+    report = _report(ch, snr_db, results, {})
+    _write_text(_json_text(report), args.out)
     return 0
 
 

@@ -5,8 +5,8 @@ allocation plus the two plain-SIC corner points, and extracts the Pareto
 frontier together with the capacity pentagon. A row sign of A changes
 neither its rates nor its feasible permutations, so one vectorized pass
 covers one matrix per row-sign class, a quarter of the box. Results are
-sorted by rate tuple before deduplication and frontier extraction, so
-enumeration is deterministic.
+sorted by rate tuple on arrays before deduplication and frontier
+extraction, so enumeration is deterministic.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .rates import ChannelInstance, _effective_noise, mmse_sic_plan, white_input
 MAX_COEFF_BOUND = 5
 _DEDUP_TOL = 1e-9
 _PERMUTATIONS = ((0, 1), (1, 0))
+_SOURCES = ("sic_corner", "successive_if")
 
 
 @dataclass(frozen=True)
@@ -120,18 +121,21 @@ def _scan_box(ch: ChannelInstance, bound: int):
     return a[index], perm, np.where(rates > 0.0, rates, 0.0)
 
 
-def _is_duplicate(p: RatePoint, kept) -> bool:
-    """Whether a kept point is within _DEDUP_TOL of p in both rates.
-
-    kept is sorted by rates[0], none above p.rates[0], so the backward scan
-    stops at the first kept point too far left: every earlier one is farther.
-    """
-    for k in reversed(kept):
-        if abs(p.rates[0] - k.rates[0]) > _DEDUP_TOL:
-            return False
-        if abs(p.rates[1] - k.rates[1]) <= _DEDUP_TOL:
-            return True
-    return False
+def _kept_positions(r1, r2) -> list:
+    """Positions of the points no kept point is within _DEDUP_TOL of in both
+    rates. r1 is ascending, so the backward scan over the kept points stops at
+    the first one too far left: every earlier one is farther."""
+    kept = []
+    for i, (x, y) in enumerate(zip(r1, r2)):
+        for k in reversed(kept):
+            if abs(x - r1[k]) > _DEDUP_TOL:
+                kept.append(i)
+                break
+            if abs(y - r2[k]) <= _DEDUP_TOL:  # a duplicate
+                break
+        else:
+            kept.append(i)
+    return kept
 
 
 def enumerate_achievable_points(ch: ChannelInstance, coeff_bound: int) -> RateRegion:
@@ -148,32 +152,28 @@ def enumerate_achievable_points(ch: ChannelInstance, coeff_bound: int) -> RateRe
     if not 1 <= bound <= MAX_COEFF_BOUND:
         raise ValueError(f"coeff_bound must be in [1, {MAX_COEFF_BOUND}]")
 
-    points = [
-        RatePoint(
-            rates=tuple(max(0.0, r) for r in mmse_sic_plan(ch, order).stream_rates),
-            source="sic_corner",
-            A=((1, 0), (0, 1)),
-            permutation=order,
-        )
-        for order in _PERMUTATIONS
-    ]
+    corners = [[max(0.0, r) for r in mmse_sic_plan(ch, order).stream_rates]
+               for order in _PERMUTATIONS]
     matrices, perms, rates = _scan_box(ch, bound)
-    all_rates = np.concatenate([np.array([p.rates for p in points]), rates])
+    all_rates = np.concatenate([corners, rates])
     outside = ~_inside(_pentagon_constants(ch), all_rates[:, 0], all_rates[:, 1], 1e-9)
     if outside.any():
         bad = tuple(all_rates[np.argmax(outside)].tolist())
         raise IfwbError(f"enumerated point {bad} exceeds the capacity pentagon")
 
-    points += [
-        RatePoint(rates=tuple(r), source="successive_if", A=tuple(map(tuple, m)),
-                  permutation=_PERMUTATIONS[k])
-        for r, m, k in zip(rates.tolist(), matrices.tolist(), perms.tolist())
-    ]
-    points.sort(key=lambda p: (p.rates, p.source, p.A, p.permutation))
-    kept = []
-    for p in points:
-        if not _is_duplicate(p, kept):
-            kept.append(p)
+    # the corners (A = I, permutation = decode order), then the scan; the
+    # lexsort keys give the order of the (rates, source, A, permutation) tuples
+    a = np.concatenate([np.eye(2, dtype=np.int64)[None].repeat(2, 0), matrices])
+    perm = np.concatenate([[0, 1], perms])
+    source = np.arange(len(perm)) >= 2  # "sic_corner" sorts before "successive_if"
+    order = np.lexsort((perm, *a.reshape(-1, 4).T[::-1], source, *all_rates.T[::-1]))
+    r1, r2 = all_rates[order].T.tolist()
+    keep = _kept_positions(r1, r2)
+    index = order[keep]
+    kept = tuple(
+        RatePoint((r1[j], r2[j]), _SOURCES[s], tuple(map(tuple, m)), _PERMUTATIONS[k])
+        for j, s, m, k in zip(keep, source[index].tolist(), a[index].tolist(), perm[index].tolist())
+    )
 
     # kept is sorted by rates and has no equal pair, so a point is dominated
     # iff a later point has a second rate at least as large
@@ -183,7 +183,7 @@ def enumerate_achievable_points(ch: ChannelInstance, coeff_bound: int) -> RateRe
             frontier.append(p)
             best = p.rates[1]
     return RateRegion(
-        points=tuple(kept),
+        points=kept,
         frontier=tuple(reversed(frontier)),
         capacity_vertices=tuple(capacity_polytope_2user(ch)),
     )

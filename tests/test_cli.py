@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ifwb.cli import main
+from ifwb.cli import _json_text, main
 
 ANCHOR_TOL = 5e-4
 
@@ -228,6 +230,17 @@ class TestSimulate:
         assert f"bad simulation config: {field} must be an integer" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("field", ["snr_db", "noise_scale"])
+    def test_rejects_booleans(self, capsys, tmp_path, field):
+        path = tmp_path / "bool.json"
+        fields = {"snr_db": "20", "noise_scale": "1.0", field: "true"}
+        path.write_text('{"channel": [[1.0, 0.0], [0.0, 1.0]], "trials": 10, '
+                        + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+        assert main(["simulate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"bad simulation config: {field} must be a number" in captured.err
+        assert captured.out == ""
+
     def test_accepts_integral_floats(self, capsys, tmp_path):
         path = tmp_path / "floats.json"
         path.write_text('{"channel": [[1.0, 0.0], [0.0, 1.0]], "snr_db": 20, '
@@ -327,3 +340,55 @@ class TestParserBuiltOnce:
         fresh = run()
         assert [code for code, _, _ in cached] == [0, 0, 2, 0]
         assert cached == fresh
+
+
+_SCALARS = st.one_of(
+    st.text(),  # non-ASCII, quotes, backslashes and control characters
+    st.sampled_from(["\u2028", '"\\', "\x00\x1f\x7f", "é€😀"]),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from([2**63, 2**64 + 1, -(2**63) - 1]),
+    st.booleans(),
+    st.none(),
+    st.floats(),  # NaN, infinities, -0.0 and subnormals included
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324]),
+    st.floats().map(np.float64),
+)
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(value=_JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [np.int64(3), {1, 2}, [1.0, {"a": np.int64(3)}], {"s": {1}}])
+    def test_type_errors_match_json_dumps(self, value):
+        with pytest.raises(TypeError) as want:
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError) as got:
+            _json_text(value)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("command", ["rates", "optimize-a", "region", "simulate"])
+    def test_reports_are_indented_json(self, tmp_path, ex1_csv, command):
+        out = tmp_path / "report.json"
+        if command == "simulate":
+            config = tmp_path / "sim.json"
+            config.write_text('{"channel": [[1.4142135623730951, 1.0]], "snr_db": 15, '
+                              '"a_matrix": [[1, 1], [3, 2]], "trials": 100}')
+            argv = ["simulate", "--config", str(config)]
+        else:
+            argv = [command, "--channel", ex1_csv, "--snr-db", "15"]
+            argv += ["--coeff-bound", "2"] if command == "region" else []
+        assert main(argv + ["--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"

@@ -17,7 +17,7 @@ from ifwb.rates import (
 from ifwb.region import (
     RatePoint,
     _class_representatives,
-    _is_duplicate,
+    _kept_positions,
     _scan_box,
     capacity_polytope_2user,
     enumerate_achievable_points,
@@ -221,13 +221,16 @@ class TestBatchedScanMatchesReference:
         assert ((1, 0), (0, 1)) in scanned and ((-1, 0), (0, -1)) not in scanned
 
     def test_dedup_compares_beyond_last_kept_point(self):
-        def point(r1, r2):
-            return RatePoint((r1, r2), "successive_if", ((1, 0), (0, 1)), (0, 1))
+        r1, r2 = [1.0, 1.0 + 5e-10], [5.0, 2.0]  # both kept
 
-        kept = [point(1.0, 5.0), point(1.0 + 5e-10, 2.0)]
-        assert _is_duplicate(point(1.0 + 6e-10, 5.0), kept)
-        assert not _is_duplicate(point(1.0 + 6e-10, 3.0), kept)
-        assert not _is_duplicate(point(1.0 + 2e-9, 5.0), kept)
+        def is_duplicate(x, y):
+            kept = _kept_positions(r1 + [x], r2 + [y])
+            assert kept[:2] == [0, 1]
+            return kept == [0, 1]
+
+        assert is_duplicate(1.0 + 6e-10, 5.0)
+        assert not is_duplicate(1.0 + 6e-10, 3.0)
+        assert not is_duplicate(1.0 + 2e-9, 5.0)
 
 
 def _box(bound):
