@@ -97,9 +97,17 @@ def _load_channel(args) -> tuple[ChannelInstance, float]:
     if len(snr_db) != 1:
         raise CliError("this subcommand takes a single --snr-db value")
     try:
-        return ChannelInstance(h, 10.0 ** (snr_db[0] / 10.0)), snr_db[0]
+        return ChannelInstance(h, _snr_linear(snr_db[0])), snr_db[0]
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+
+
+def _snr_linear(snr_db: float) -> float:
+    """The power ratio of snr_db dB; one beyond the float range is an input error."""
+    try:
+        return 10.0 ** (snr_db / 10.0)
+    except OverflowError as exc:
+        raise CliError(f"SNR of {snr_db!r} dB is beyond the float range") from exc
 
 
 def _parse_snr_list(text) -> list[float]:
@@ -331,7 +339,7 @@ def cmd_simulate(args) -> int:
             if isinstance(raw.get(name), bool):
                 raise ValueError(f"{name} must be a number, got {raw[name]!r}")
         snr_db = float(raw["snr_db"])
-        ch = ChannelInstance(h, 10.0 ** (snr_db / 10.0))
+        ch = ChannelInstance(h, _snr_linear(snr_db))
         a = (
             as_integer_matrix(raw["a_matrix"])
             if "a_matrix" in raw
@@ -382,7 +390,7 @@ def cmd_sweep(args) -> int:
 
     lines = ["snr_db,scheme,symmetric_rate,sum_rate"]
     for snr_db in snr_list:
-        ch = ChannelInstance(h, 10.0 ** (snr_db / 10.0))
+        ch = ChannelInstance(h, _snr_linear(snr_db))
         m = ch.num_streams
         ident = np.eye(m, dtype=np.int64)
         a_opt = optimal_a(ch, mode, bound=args.coeff_bound)

@@ -4,11 +4,12 @@ Bases are real matrices whose columns are the basis vectors. Reductions
 return a ReductionReport carrying the reduced basis, the integer transform U
 with reduced = original @ U, the Gram-Schmidt norms of the reduced basis and
 a method tag. Transforms are tracked in exact integer arithmetic (Python
-ints), so det(U) = +-1 is checked exactly, not numerically. The reduction
-loops run on Python lists (one float list per column, mu as a list of rows)
-with the same IEEE operations, in the same order, as numpy elementwise; only
-the dot products of _gso and _size_reduce, and the last search level of the
-brute-force oracle (one pass over its sorted candidates per incumbent), run
+ints), so det(U) = +-1 is checked exactly, not numerically. The Gram-Schmidt
+data comes from one Householder QR (_gso); the reduction loops then keep it
+current on Python lists (one float list per column, mu as a list of rows)
+with the same IEEE operations, in the same order, as numpy elementwise. Only
+_gso, the dot products of _size_reduce and the last search level of the
+brute-force oracle (one pass over its sorted candidates per incumbent) run
 in numpy.
 
 Exact routines (shortest vector, KZ) are guarded to dimension 10; they rely
@@ -117,31 +118,19 @@ def validate_basis(b) -> np.ndarray:
     return b
 
 
-def _gso(cols: np.ndarray, start: int = 0, prev=None):
+def _gso(cols: np.ndarray):
     """Gram-Schmidt data: orthogonal vectors, coefficients mu[i][j] (j < i), squared norms.
 
-    Row i depends only on columns 0..i, so rows below start are copied from
-    prev, the _gso data of a basis with the same first start columns; the
-    rows from start on are bit for bit those of a full pass.
+    Read off one Householder QR, cols = Q R: with d the diagonal of R, the
+    Gram-Schmidt vectors are Q d, their squared norms d^2, and
+    mu[i][j] = R[j][i] / d[j].
     """
-    n, m = cols.shape
-    bstar = np.zeros((n, m))
-    mu = np.zeros((m, m))
-    nsq = np.zeros(m)
-    if start:
-        bstar[:, :start] = prev[0][:, :start]
-        mu[:start, :start] = prev[1][:start, :start]
-        nsq[:start] = prev[2][:start]
-    for i in range(start, m):
-        v = cols[:, i].copy()
-        for j in range(i):
-            mu[i, j] = (cols[:, i] @ bstar[:, j]) / nsq[j]
-            v -= mu[i, j] * bstar[:, j]
-        bstar[:, i] = v
-        nsq[i] = v @ v
-        if nsq[i] <= 0.0:
-            raise DegenerateBasis("zero Gram-Schmidt norm encountered")
-    return bstar, mu, nsq
+    q, r = np.linalg.qr(cols)
+    d = np.diag(r)
+    nsq = d * d
+    if (nsq <= 0.0).any():
+        raise DegenerateBasis("zero Gram-Schmidt norm encountered")
+    return q * d, np.tril((r / d[:, None]).T, -1), nsq
 
 
 def _round_ties_to_zero(x: float) -> int:
@@ -218,24 +207,21 @@ def _swap_gso(mu: list, nsq: list, k: int) -> None:
         row[k - 1] = t + new_mu * row[k]
 
 
-def _lll_inplace(cols: list, u: list, delta: float, lo: int = 0, start: int = 0, prev=None):
+def _lll_inplace(cols: list, u: list, delta: float, lo: int = 0):
     """LLL-reduce the column lists cols in place, mirroring every integer operation on u.
 
     Columns before lo are held fixed: they serve for size reduction but are
     never swapped, so only the projection of cols[lo:] orthogonal to them
-    is reduced. Returns the Gram-Schmidt data (mu, nsq) of the result and
-    the numpy _gso data it was last computed from, which is exact in the
-    rows below lo (those columns never change).
+    is reduced. Returns the Gram-Schmidt data (mu, nsq) of the result.
 
-    The Gram-Schmidt data is computed once and then kept current by the
-    incremental size-reduction and swap updates of Cohen's Alg. 2.6.3. It is
-    recomputed after a size reduction by |q| > _GSO_REFRESH_Q, as in
-    Schnorr & Euchner (1994). The first pass copies the rows below start
-    from prev (see _gso); a refresh copies the rows below lo.
+    The Gram-Schmidt data is computed once by _gso and then kept current by
+    the incremental size-reduction and swap updates of Cohen's Alg. 2.6.3.
+    It is recomputed after a size reduction by |q| > _GSO_REFRESH_Q, as in
+    Schnorr & Euchner (1994).
     """
     m = len(cols)
-    gs = _gso(_matrix(cols, float), start, prev)
-    mu, nsq = gs[1].tolist(), gs[2].tolist()
+    _, mu, nsq = _gso(_matrix(cols, float))
+    mu, nsq = mu.tolist(), nsq.tolist()
     k = max(lo, 1)
     sweeps = 0
     max_sweeps = 10000 * m * m + 1000
@@ -250,8 +236,8 @@ def _lll_inplace(cols: list, u: list, delta: float, lo: int = 0, start: int = 0,
                 cols[k] = [a - q * b for a, b in zip(cols[k], cols[j])]
                 u[k] = [a - q * b for a, b in zip(u[k], u[j])]
                 if abs(q) > _GSO_REFRESH_Q:
-                    gs = _gso(_matrix(cols, float), lo, gs)
-                    mu, nsq = gs[1].tolist(), gs[2].tolist()
+                    _, mu, nsq = _gso(_matrix(cols, float))
+                    mu, nsq = mu.tolist(), nsq.tolist()
                     row = mu[k]
                 else:
                     row[:j] = [a - q * b for a, b in zip(row, mu[j][:j])]
@@ -263,7 +249,7 @@ def _lll_inplace(cols: list, u: list, delta: float, lo: int = 0, start: int = 0,
             u[k - 1], u[k] = u[k], u[k - 1]
             _swap_gso(mu, nsq, k)
             k = max(k - 1, lo, 1)
-    return mu, nsq, gs
+    return mu, nsq
 
 
 def lll_reduce(basis, delta: float = 0.75) -> ReductionReport:
@@ -340,12 +326,11 @@ def shortest_vector(basis):
         raise DimensionTooLarge(f"exact enumeration guarded to dimension {MAX_ENUM_DIM}")
     cols = original.T.tolist()
     u = _identity(m)
-    _lll_inplace(cols, u, 0.99)
+    mu, nsq = _lll_inplace(cols, u, 0.99)
     reduced = _matrix(cols, float)
-    _, mu, nsq = _gso(reduced)
     col_norms = np.sum(reduced * reduced, axis=0)
     seed = int(np.argmin(col_norms))
-    z, _ = _enumerate_shortest(mu.tolist(), nsq.tolist(), 0, _identity(m)[seed], col_norms[seed])
+    z, _ = _enumerate_shortest(mu, nsq, 0, _identity(m)[seed], col_norms[seed])
     coeffs = _matrix([[sum(c * v for c, v in zip(row, z)) for row in zip(*u)]]).ravel()
     length = float(np.linalg.norm(original @ coeffs.astype(float)))
     return coeffs, length
@@ -413,14 +398,12 @@ def kz_reduce(basis) -> ReductionReport:
     m = original.shape[1]
     cols = original.T.tolist()
     u = _identity(m)
-    mu, nsq, gs = _lll_inplace(cols, u, 0.99)
-    fresh = 0  # rows of gs that are the Gram-Schmidt data of the current columns
+    mu, nsq = _lll_inplace(cols, u, 0.99)
     for k in range(m - 1):
         z, _ = _enumerate_shortest(mu, nsq, k, [1] + [0] * (m - k - 1), nsq[k])
         if any(z[1:]):
             _insert(cols, u, k, z)  # changes columns k... only
-            mu, nsq, gs = _lll_inplace(cols, u, 0.99, lo=k + 1, start=min(k, fresh), prev=gs)
-            fresh = k + 1
+            mu, nsq = _lll_inplace(cols, u, 0.99, lo=k + 1)
     _size_reduce(original @ _matrix(u, float), u)
     return _make_report(original, u, "kz_exact")
 

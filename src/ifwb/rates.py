@@ -120,14 +120,18 @@ def _read_only(value: np.ndarray) -> np.ndarray:
 
 
 def as_integer_matrix(a, name: str = "A") -> np.ndarray:
-    """Validate an integer square matrix, returned as int64."""
+    """Validate an integer square matrix within the int64 range, returned as int64."""
     arr = np.asarray(a)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
     if arr.dtype.kind == "f":
         if not np.all(np.isfinite(arr)) or not np.all(arr == np.round(arr)):
             raise ValueError(f"{name} must have integer entries")
-        arr = np.round(arr)
+        in_range = np.all((-(2.0**63) <= arr) & (arr < 2.0**63))
+    else:  # numpy holds Python ints beyond int64 as uint64 or as objects
+        in_range = arr.dtype.kind not in "uO" or all(-(2**63) <= v < 2**63 for v in arr.flat)
+    if not in_range:
+        raise ValueError(f"{name} has an entry beyond the int64 range")
     return arr.astype(np.int64)
 
 
@@ -154,8 +158,9 @@ def waterfilling_capacity(ch: ChannelInstance) -> tuple[float, np.ndarray]:
     """Capacity under the total power constraint trace(Q) <= M * snr.
 
     The optimal input covariance Q is diagonal in the right-singular basis
-    of H with powers set by water-filling; the water level is found by
-    bisection until the allocated power matches the budget to 1e-12.
+    of H with powers set by water-filling. The water level is exact: the
+    active modes are those with the k smallest inverse gains, and the level
+    is the last (budget + their sum) / k that exceeds the k-th of them.
     Returns (capacity_bits, Q).
     """
     m = ch.num_streams
@@ -167,18 +172,10 @@ def waterfilling_capacity(ch: ChannelInstance) -> tuple[float, np.ndarray]:
     if not positive.any():
         return 0.0, np.zeros((m, m))
     inv_gain = 1.0 / gains[positive]
-
-    def allocated(level: float) -> float:
-        return float(np.maximum(0.0, level - inv_gain).sum())
-
-    lo, hi = 0.0, budget + inv_gain.max()
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if allocated(mid) > budget:
-            hi = mid
-        else:
-            lo = mid
-    level = 0.5 * (lo + hi)
+    inv = np.sort(inv_gain)
+    levels = (budget + np.cumsum(inv)) / np.arange(1, len(inv) + 1)
+    active = np.flatnonzero(levels > inv)
+    level = levels[active[-1]] if active.size else inv[0]
     powers = np.zeros(m)
     powers[positive] = np.maximum(0.0, level - inv_gain)
     value = float(0.5 * np.sum(np.log2(1.0 + powers * gains)))

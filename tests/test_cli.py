@@ -84,6 +84,21 @@ class TestRates:
         assert main(["rates", "--channel", str(bad), "--snr-db", "15"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("snr_db", ["4000", "1e308"])
+    def test_rejects_snr_beyond_float_range(self, capsys, ex1_csv, snr_db):
+        # 10 ** (snr_db / 10) overflows a float above about 3083 dB
+        assert main(["rates", "--channel", ex1_csv, "--snr-db", snr_db]) == 2
+        captured = capsys.readouterr()
+        assert "beyond the float range" in captured.err
+        assert captured.out == ""
+
+    def test_rejects_a_matrix_beyond_int64(self, capsys, ex1_csv):
+        argv = ["rates", "--channel", ex1_csv, "--snr-db", "15", "--a-matrix", "99999999999999999999,0;0,1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "bad --a-matrix: A has an entry beyond the int64 range" in captured.err
+        assert captured.out == ""
+
     def test_complex_channel_pair(self, capsys, tmp_path):
         re_path = tmp_path / "re.csv"
         im_path = tmp_path / "im.csv"
@@ -241,6 +256,25 @@ class TestSimulate:
         assert f"bad simulation config: {field} must be a number" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("a_matrix", ["[[1e30, 0], [0, 1]]", "[[99999999999999999999, 0], [0, 1]]",
+                                          "[[9223372036854775808, 0], [0, 1]]"])
+    def test_rejects_a_matrix_beyond_int64(self, capsys, tmp_path, a_matrix):
+        path = tmp_path / "big_a.json"
+        path.write_text('{"channel": [[1.0, 0.0], [0.0, 1.0]], "snr_db": 20, "trials": 10, '
+                        f'"a_matrix": {a_matrix}}}')
+        assert main(["simulate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "bad simulation config: A has an entry beyond the int64 range" in captured.err
+        assert captured.out == ""
+
+    def test_rejects_snr_beyond_float_range(self, capsys, tmp_path):
+        path = tmp_path / "loud.json"
+        path.write_text('{"channel": [[1.0, 0.0], [0.0, 1.0]], "snr_db": 4000, "trials": 10}')
+        assert main(["simulate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "beyond the float range" in captured.err
+        assert captured.out == ""
+
     def test_accepts_integral_floats(self, capsys, tmp_path):
         path = tmp_path / "floats.json"
         path.write_text('{"channel": [[1.0, 0.0], [0.0, 1.0]], "snr_db": 20, '
@@ -294,6 +328,12 @@ class TestSweep:
     def test_rejects_empty_snr_list(self, capsys, ex1_csv):
         assert main(["sweep", "--channel", ex1_csv, "--snr-db", ",", "--schemes", "s-if"]) == 2
         capsys.readouterr()
+
+    def test_rejects_snr_beyond_float_range(self, capsys, ex1_csv):
+        assert main(["sweep", "--channel", ex1_csv, "--snr-db", "0,4000", "--schemes", "s-if"]) == 2
+        captured = capsys.readouterr()
+        assert "beyond the float range" in captured.err
+        assert captured.out == ""
 
     def test_rejects_unknown_scheme(self, capsys, ex1_csv):
         assert main(["sweep", "--channel", ex1_csv, "--snr-db", "10", "--schemes", "magic"]) == 2

@@ -620,8 +620,8 @@ def _oracle_cases():
         cond = None if i % 3 == 0 else float(10.0 ** rng.uniform(0.0, 9.0))
         case_id = f"m{m}-n{n}-{snr_db:.0f}dB" + ("" if cond is None else f"-cond{cond:.0e}")
         cases.append(pytest.param(_channel_g(rng, m, n, snr_db, cond), id=case_id))
-    # size reductions by large q; of these seeds 35 and 59 get a different
-    # transform without the Gram-Schmidt refresh (test_refresh_changes_the_transform)
+    # size reductions by large q, each followed by a Gram-Schmidt refresh
+    # (test_refresh_runs_and_keeps_the_transform)
     for seed, m, n in ((92, 8, 5), (135, 8, 4), (14, 10, 5), (35, 10, 5), (59, 10, 5)):
         g = _channel_g(np.random.default_rng(seed), m, n, 120.0)
         cases.append(pytest.param(g, id=f"refresh-seed{seed}-m{m}-n{n}-120dB"))
@@ -641,13 +641,25 @@ class TestIncrementalMatchesReference:
             assert got.dtype == want.dtype and got.flags.c_contiguous
             np.testing.assert_array_equal(got, want, err_msg=name)
 
-    def test_refresh_changes_the_transform(self, monkeypatch):
+    def test_refresh_runs_and_keeps_the_transform(self, monkeypatch):
+        # Seed 35 size-reduces by |q| > _GSO_REFRESH_Q, so LLL recomputes its
+        # Gram-Schmidt data part way: the refresh branch must run, and the
+        # transform must be the reference kernel's, which refreshes too.
         from ifwb import lattice
 
         g = _channel_g(np.random.default_rng(35), 10, 5, 120.0)
-        with_refresh = lll_reduce(g.T, delta=0.99).transform
-        monkeypatch.setattr(lattice, "_GSO_REFRESH_Q", 10**9)
-        assert not np.array_equal(lll_reduce(g.T, delta=0.99).transform, with_refresh)
+        want = _reference_transform(g.T, "lll_0.99")
+        calls = []
+        gso = lattice._gso
+
+        def counting_gso(cols):
+            calls.append(cols.shape)
+            return gso(cols)
+
+        monkeypatch.setattr(lattice, "_gso", counting_gso)
+        got = lll_reduce(g.T, delta=0.99).transform
+        assert len(calls) > 1
+        np.testing.assert_array_equal(got, want)
 
     def test_degenerate_swap_raises(self):
         from ifwb.lattice import _swap_gso
@@ -669,21 +681,25 @@ class TestIncrementalMatchesReference:
 
     @pytest.mark.parametrize("m", [2, 3, 5, 8, 12, 16])
     def test_gso_from_a_kept_prefix(self, m):
+        # Gram-Schmidt row i depends only on columns 0..i: bases that share
+        # their first start columns share those rows, up to rounding.
         from ifwb.lattice import _gso
 
         rng = np.random.default_rng(m)
         cols = rng.standard_normal((m + 1, m))
-        full = _gso(cols)
+        bstar, mu, nsq = _gso(cols)
         for start in range(m + 1):
             other = cols.copy()
             other[:, start:] = rng.standard_normal((m + 1, m - start))  # same first start columns
-            for got, want in zip(_gso(cols, start, _gso(other)), full):
-                np.testing.assert_array_equal(got, want)
+            o_bstar, o_mu, o_nsq = _gso(other)
+            np.testing.assert_allclose(o_bstar[:, :start], bstar[:, :start], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(o_mu[:start, :start], mu[:start, :start], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(o_nsq[:start], nsq[:start], rtol=1e-12)
 
     def test_kz_after_a_level_without_insertion(self, monkeypatch):
-        # Level 0 inserts nothing and level 1 inserts. The rows kept from the
-        # first LLL were updated in place, not recomputed, so the
-        # Gram-Schmidt pass after the insertion has to start at row 0, not 1.
+        # Level 0 inserts nothing and level 1 inserts: the LLL after the
+        # insertion holds columns 0 and 1 fixed and must still match the
+        # reference kernel.
         from ifwb import lattice
 
         g = _channel_g(np.random.default_rng(37), 4, 1, 20.0)

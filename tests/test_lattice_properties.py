@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
-from ifwb.lattice import brute_force_min_max, is_kz_reduced, kz_reduce, lll_reduce
+from ifwb.lattice import _gso, brute_force_min_max, is_kz_reduced, kz_reduce, lll_reduce
 from ifwb.linalg import cholesky_lower
 from ifwb.rates import ChannelInstance
 
@@ -42,6 +42,23 @@ def seeded_channel_g(draw, dims):
     seed = draw(st.integers(0, 2**32 - 1))
     note(f"G = _channel_g(default_rng({seed}), {m}, {n}, {snr_db!r}, {cond!r})")
     return _channel_g(np.random.default_rng(seed), m, n, snr_db, cond)
+
+
+@PROPERTY_SETTINGS
+@given(g=seeded_channel_g(dims=range(2, 17)), rotation_seed=st.integers(0, 2**32 - 1))
+def test_gso_is_a_gram_schmidt_decomposition(g, rotation_seed):
+    # G^T is upper triangular, so its QR is nearly trivial; a rotated copy
+    # (same lattice geometry) exercises the Householder reflections too.
+    m = g.shape[0]
+    rotation, _ = np.linalg.qr(np.random.default_rng(rotation_seed).standard_normal((m, m)))
+    for cols in (g.T, rotation @ g.T):
+        bstar, mu, nsq = _gso(cols)
+        assert not np.triu(mu).any()  # strictly lower triangular
+        recon = bstar @ (np.eye(m) + mu).T
+        assert np.abs(recon - cols).max() <= 1e-12 * np.abs(cols).max()
+        np.testing.assert_allclose(nsq, np.sum(bstar * bstar, axis=0), rtol=1e-12)
+        norms = np.sqrt(nsq)
+        assert np.abs(bstar.T @ bstar / np.outer(norms, norms) - np.eye(m)).max() <= 1e-12
 
 
 @PROPERTY_SETTINGS

@@ -14,6 +14,7 @@ from ifwb.rates import (
     _feasible_permutations,
     _is_feasible,
     allocate_rates,
+    as_integer_matrix,
     gdfe_filters,
     if_effective_model,
     if_rates,
@@ -133,6 +134,27 @@ class TestEffectiveModelSharing:
         assert calls == [(2, 2)]
 
 
+class TestAsIntegerMatrix:
+    @pytest.mark.parametrize("a", [
+        [[1e30, 0], [0, 1]],  # float beyond int64
+        [[2.0**63, 0], [0, 1]],
+        [[-1e30, 0], [0, 1]],
+        [[2**63, 0], [0, 1]],  # numpy reads this one as a float
+        [[10**20, 0], [0, 1]],  # and this one as a Python-int object
+        [[-(2**63) - 1, 0], [0, 1]],
+        np.array([[2**63, 0], [0, 1]], dtype=np.uint64),
+    ])
+    def test_rejects_entries_beyond_int64(self, a):
+        with pytest.raises(ValueError, match="beyond the int64 range"):
+            as_integer_matrix(a)
+
+    def test_keeps_the_int64_extremes(self):
+        extremes = [[2**63 - 1, -(2**63)], [0, 1]]
+        np.testing.assert_array_equal(as_integer_matrix(extremes), np.array(extremes, dtype=np.int64))
+        got = as_integer_matrix([[2.0**63 - 1024, -(2.0**63)], [0.0, -3.0]])
+        assert got.dtype == np.int64 and got.tolist() == [[2**63 - 1024, -(2**63)], [0, -3]]
+
+
 class TestWhiteInputCapacity:
     def test_zero_channel(self):
         assert white_input_capacity(ChannelInstance(np.zeros((2, 2)), 5.0)) == 0.0
@@ -216,6 +238,24 @@ class TestWaterfilling:
         grid_best = float(cap.max())
         assert value >= grid_best - 1e-9
         assert value - grid_best <= 1e-6
+
+    def test_matches_50_digit_waterfilling(self):
+        """The exact water level against 50-digit water-filling on the singular
+        values of 40 Gaussian channels, M 1-8, N 1-9, -20 to 120 dB."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(46)
+        for _ in range(40):
+            m = int(rng.integers(1, 9))
+            ch = conditioned_channel(rng, m, int(rng.integers(1, 10)), float(rng.uniform(-20.0, 120.0)))
+            value, _ = waterfilling_capacity(ch)
+            with mpmath.workdps(50):
+                gains = sorted((s**2 for s in mpmath.svd_r(mpmath.matrix(ch.H.tolist()), compute_uv=False)),
+                               reverse=True)
+                inv = [1 / g for g in gains]
+                k = max(k for k in range(1, len(inv) + 1) if m * mpmath.mpf(ch.snr) + sum(inv[:k]) > k * inv[k - 1])
+                level = (m * mpmath.mpf(ch.snr) + sum(inv[:k])) / k
+                want = sum(mpmath.log(level * g, 2) for g in gains[:k]) / 2
+            assert abs(value - float(want)) <= 1e-12 * float(want)
 
     def test_constraints_and_dominance(self):
         rng = np.random.default_rng(31)
