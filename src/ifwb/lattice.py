@@ -8,19 +8,20 @@ ints), so det(U) = +-1 is checked exactly, not numerically. The Gram-Schmidt
 data comes from one Householder QR (_gso); the reduction loops then keep it
 current on Python lists (one float list per column, mu as a list of rows)
 with the same IEEE operations, in the same order, as numpy elementwise. Only
-_gso, the dot products of _size_reduce and the last search level of the
-brute-force oracle (one pass over its sorted candidates per incumbent) run
-in numpy.
+_gso and the last search level of the brute-force oracle (one pass over its
+sorted candidates per incumbent) run in numpy.
 
 Exact routines (shortest vector, KZ) are guarded to dimension 10; they rely
-on depth-first enumeration with a radius seeded by an actual lattice vector,
-which makes the search provably exhaustive. Exact KZ works on one basis: LLL
-once, then at each level k the shortest vector of the lattice projected
-orthogonally to the first k columns is enumerated from the current
-Gram-Schmidt data, inserted at k by unimodular column operations, and the
-columns after k are LLL-reduced again, so the transform stays reduced (Zhang,
-Qiao & Wei, IEEE TSP 2012; the insertion step of Schnorr & Euchner's BKZ,
-1994).
+on one depth-first enumeration (_shortest) with a radius seeded by an actual
+lattice vector, which makes the search provably exhaustive. Vectors whose
+lengths agree to a relative 1e-12 are ties, decided by their coefficients
+over the input basis, so an orthogonal basis keeps its own columns. Exact KZ
+works on one basis: LLL once, then at each level k the shortest vector of the
+lattice projected orthogonally to the first k columns is enumerated from the
+current Gram-Schmidt data, inserted at k by unimodular column operations, and
+the columns after k are LLL-reduced again, so the transform stays reduced
+(Zhang, Qiao & Wei, IEEE TSP 2012; the insertion step of Schnorr & Euchner's
+BKZ, 1994).
 """
 
 from __future__ import annotations
@@ -183,11 +184,6 @@ def _make_report(original, u: list, method) -> ReductionReport:
 # LLL
 # ---------------------------------------------------------------------------
 
-# A size reduction by q multiplies the rounding error in mu[j, :j] by |q|;
-# beyond this the incremental update could flip a later rounding decision.
-_GSO_REFRESH_Q = 32
-
-
 def _swap_gso(mu: list, nsq: list, k: int) -> None:
     """Update Gram-Schmidt data in place for the exchange of columns k-1 and k.
 
@@ -207,6 +203,18 @@ def _swap_gso(mu: list, nsq: list, k: int) -> None:
         row[k - 1] = t + new_mu * row[k]
 
 
+def _size_reduce_column(cols: list, u: list, mu: list, k: int) -> None:
+    """Size-reduce column k against the columns before it, keeping row k of mu current."""
+    row = mu[k]
+    for j in range(k - 1, -1, -1):
+        if abs(row[j]) > 0.5:  # else the rounded coefficient is 0
+            q = _round_ties_to_zero(row[j])
+            cols[k] = [a - q * b for a, b in zip(cols[k], cols[j])]
+            u[k] = [a - q * b for a, b in zip(u[k], u[j])]
+            row[:j] = [a - q * b for a, b in zip(row, mu[j][:j])]
+            row[j] -= q
+
+
 def _lll_inplace(cols: list, u: list, delta: float, lo: int = 0):
     """LLL-reduce the column lists cols in place, mirroring every integer operation on u.
 
@@ -216,8 +224,6 @@ def _lll_inplace(cols: list, u: list, delta: float, lo: int = 0):
 
     The Gram-Schmidt data is computed once by _gso and then kept current by
     the incremental size-reduction and swap updates of Cohen's Alg. 2.6.3.
-    It is recomputed after a size reduction by |q| > _GSO_REFRESH_Q, as in
-    Schnorr & Euchner (1994).
     """
     m = len(cols)
     _, mu, nsq = _gso(_matrix(cols, float))
@@ -229,20 +235,8 @@ def _lll_inplace(cols: list, u: list, delta: float, lo: int = 0):
         sweeps += 1
         if sweeps > max_sweeps:
             raise RuntimeError("LLL failed to terminate (pathological delta?)")
-        row = mu[k]
-        for j in range(k - 1, -1, -1):
-            if abs(row[j]) > 0.5:  # else the rounded coefficient is 0
-                q = _round_ties_to_zero(row[j])
-                cols[k] = [a - q * b for a, b in zip(cols[k], cols[j])]
-                u[k] = [a - q * b for a, b in zip(u[k], u[j])]
-                if abs(q) > _GSO_REFRESH_Q:
-                    _, mu, nsq = _gso(_matrix(cols, float))
-                    mu, nsq = mu.tolist(), nsq.tolist()
-                    row = mu[k]
-                else:
-                    row[:j] = [a - q * b for a, b in zip(row, mu[j][:j])]
-                    row[j] -= q
-        if k == lo or nsq[k] >= (delta - row[k - 1] ** 2) * nsq[k - 1]:
+        _size_reduce_column(cols, u, mu, k)
+        if k == lo or nsq[k] >= (delta - mu[k][k - 1] ** 2) * nsq[k - 1]:
             k += 1
         else:
             cols[k - 1], cols[k] = cols[k], cols[k - 1]
@@ -271,66 +265,80 @@ def lll_reduce(basis, delta: float = 0.75) -> ReductionReport:
 # exact shortest vector (depth-first enumeration)
 # ---------------------------------------------------------------------------
 
-def _enumerate_shortest(mu: list, nsq: list, k: int, init_z: list, init_cost: float):
-    """Exhaustive search for the shortest nonzero coefficient vector over columns k...
+_TIE = 1e-12  # projected costs within this relative distance of the least tie
+
+
+def _shortest(mu: list, nsq: list, u: list, k: int) -> list:
+    """Shortest nonzero coefficient vector over columns k..., ties broken reproducibly.
 
     Cost model: ||sum_i z_i b_i||^2 = sum_{j>=k} nsq[j] * (z_j + sum_{i>j} mu[i][j] z_i)^2,
-    the lattice projected orthogonally to the first k columns. The search is
-    complete for any bound >= the initial cost, which is seeded with an
-    actual basis vector, so the returned minimum is exact.
+    the lattice projected orthogonally to the first k columns. The radius
+    starts at nsq[k], the cost of column k itself, so the depth-first
+    Schnorr-Euchner search is exhaustive. Of z and -z only the one whose last
+    nonzero entry is positive is visited. Among costs within a relative _TIE
+    of the least, the largest sign-normalized coefficient vector over the
+    input basis, sum_i z_i u[k + i] (u the transform's columns), wins.
     """
     m = len(nsq)
-    best_cost = float(init_cost)
-    best_z = init_z
+    best_z, best_key, best_cost = [1] + [0] * (m - k - 1), None, nsq[k]
+    lower, radius = best_cost * (1.0 - _TIE), best_cost * (1.0 + _TIE)
     z = [0] * m
 
-    def descend(level: int, partial: float) -> None:
-        nonlocal best_cost, best_z
+    def key(zk: list) -> list:
+        v = [sum(c * col[r] for c, col in zip(zk, u[k:])) for r in range(len(u[0]))]
+        return v if next(a for a in v if a) > 0 else [-a for a in v]
+
+    def descend(level: int, partial: float, signed: bool) -> None:
+        nonlocal best_z, best_key, best_cost, lower, radius
         center = 0
         for i in range(level + 1, m):
             center -= mu[i][level] * z[i]
         z0 = _round_ties_to_zero(center)
         for step in itertools.count():
             advanced = False
-            for cand in ((z0,) if step == 0 else (z0 + step, z0 - step)):
+            # while z is 0 above this level, center is 0 and only z >= 0 is tried
+            for cand in ((z0,) if step == 0 else (z0 + step, z0 - step) if signed else (step,)):
                 cost = partial + nsq[level] * (cand - center) ** 2
-                if cost >= best_cost:
+                if cost > radius:
                     continue
                 advanced = True
                 z[level] = cand
-                if level == k:
-                    if any(z):
+                if level > k:
+                    descend(level - 1, cost, signed or cand != 0)
+                elif signed or cand:
+                    if cost < lower:
+                        best_z, best_key = z[k:], None
+                    elif z[k:] != best_z:  # a tie with another vector
+                        best_key = best_key or key(best_z)
+                        if (cand_key := key(z[k:])) > best_key:
+                            best_z, best_key = z[k:], cand_key
+                    if cost < best_cost:
                         best_cost = cost
-                        best_z = z[k:]
-                else:
-                    descend(level - 1, cost)
+                        lower, radius = cost * (1.0 - _TIE), cost * (1.0 + _TIE)
             z[level] = 0
             if step > 0 and not advanced:
                 # both branches exceeded the radius; deeper steps only grow
                 break
 
-    descend(m - 1, 0.0)
-    return best_z, best_cost
+    descend(m - 1, 0.0, False)
+    return best_z
 
 
 def shortest_vector(basis):
     """Shortest nonzero lattice vector by exact enumeration.
 
-    Returns (coeffs, length) where basis @ coeffs is a shortest vector. The
-    enumeration radius is initialized from the shortest vector of an
-    LLL-reduced copy, which guarantees exactness.
+    Returns (coeffs, length) where basis @ coeffs is a shortest vector,
+    enumerated on an LLL-reduced copy within the length of its first column.
+    Of vectors equally short to a relative 1e-12, the one with the largest
+    sign-normalized coeffs (compared lexicographically) is returned.
     """
     original = validate_basis(basis)
     m = original.shape[1]
     if m > MAX_ENUM_DIM:
         raise DimensionTooLarge(f"exact enumeration guarded to dimension {MAX_ENUM_DIM}")
-    cols = original.T.tolist()
     u = _identity(m)
-    mu, nsq = _lll_inplace(cols, u, 0.99)
-    reduced = _matrix(cols, float)
-    col_norms = np.sum(reduced * reduced, axis=0)
-    seed = int(np.argmin(col_norms))
-    z, _ = _enumerate_shortest(mu, nsq, 0, _identity(m)[seed], col_norms[seed])
+    mu, nsq = _lll_inplace(original.T.tolist(), u, 0.99)
+    z = _shortest(mu, nsq, u, 0)
     coeffs = _matrix([[sum(c * v for c, v in zip(row, z)) for row in zip(*u)]]).ravel()
     length = float(np.linalg.norm(original @ coeffs.astype(float)))
     return coeffs, length
@@ -339,19 +347,6 @@ def shortest_vector(basis):
 # ---------------------------------------------------------------------------
 # Korkin-Zolotarev reduction
 # ---------------------------------------------------------------------------
-
-def _size_reduce(cols: np.ndarray, u: list) -> None:
-    """One full size-reduction sweep of the array cols: leaves Gram-Schmidt vectors untouched."""
-    bstar, _, nsq = _gso(cols)
-    m = cols.shape[1]
-    for j in range(1, m):
-        for i in range(j - 1, -1, -1):
-            coeff = (cols[:, j] @ bstar[:, i]) / nsq[i]
-            q = _round_ties_to_zero(coeff)
-            if q != 0:
-                cols[:, j] -= q * cols[:, i]
-                u[j] = [a - q * b for a, b in zip(u[j], u[i])]
-
 
 def _insert(cols: list, u: list, k: int, z: list) -> None:
     """Make sum_i z_i cols[k + i] column k by unimodular operations on cols[k:].
@@ -389,7 +384,9 @@ def kz_reduce(basis) -> ReductionReport:
     satisfy |r| <= 1/2. Each level's shortest vector is inserted into one
     LLL-reduced basis (Zhang, Qiao & Wei, "HKZ and Minkowski reduction
     algorithms for lattice-reduced MIMO detection", IEEE TSP 60(11), 2012).
-    Guarded to dimension 10 because every level runs an exact enumeration.
+    Ties among equally short vectors go to the largest input-basis
+    coefficients, so an orthogonal basis keeps the transform I. Guarded to
+    dimension 10 because every level runs an exact enumeration.
     """
     b = as_matrix(basis, "basis")
     if b.shape[1] > MAX_ENUM_DIM:
@@ -400,16 +397,18 @@ def kz_reduce(basis) -> ReductionReport:
     u = _identity(m)
     mu, nsq = _lll_inplace(cols, u, 0.99)
     for k in range(m - 1):
-        z, _ = _enumerate_shortest(mu, nsq, k, [1] + [0] * (m - k - 1), nsq[k])
+        z = _shortest(mu, nsq, u, k)
         if any(z[1:]):
             _insert(cols, u, k, z)  # changes columns k... only
             mu, nsq = _lll_inplace(cols, u, 0.99, lo=k + 1)
-    _size_reduce(original @ _matrix(u, float), u)
+    # size-reduce the inserted columns; mu is current (each LLL starts from _gso)
+    for k in range(1, m):
+        _size_reduce_column(cols, u, mu, k)
     return _make_report(original, u, "kz_exact")
 
 
 def kz_approx_successive_lll(basis) -> ReductionReport:
-    """KZ approximation: LLL with delta = 0.99, then one size reduction.
+    """KZ approximation: LLL with delta = 0.99.
 
     The projections of an LLL-reduced basis are LLL-reduced themselves, so
     this is also LLL applied successively on shrinking projections. No
@@ -418,7 +417,6 @@ def kz_approx_successive_lll(basis) -> ReductionReport:
     original = validate_basis(basis)
     u = _identity(original.shape[1])
     _lll_inplace(original.T.tolist(), u, 0.99)
-    _size_reduce(original @ _matrix(u, float), u)
     return _make_report(original, u, "kz_successive_lll")
 
 

@@ -8,7 +8,7 @@ vector coefficients, brute-force A); OUT.floats.jsonl holds, line for line,
 its float outputs (the shortest vector length, the brute-force value), so a
 last-bit change of a float does not hide among changed transforms.
 
-Two seeded sets of seeds x per-seed cases each (2100 with the defaults):
+Three seeded sets of seeds x per-seed cases each (2100 with the defaults):
 
 - channels: channel i of seed s from default_rng([777, s]); M 2-16, N 1-16,
   0-120 dB, odd i with a condition number 1-1e9. The basis is G^T with
@@ -19,6 +19,15 @@ Two seeded sets of seeds x per-seed cases each (2100 with the defaults):
 - brute: case i of seed s from default_rng([778, s]); dims 1-3, bounds 1-3,
   both objectives, 0-60 dB. Each line holds brute_force_min_max's A (value in
   the floats file).
+- ties: case i of seed s from default_rng([779, s]); M 2-10, bases whose
+  shortest vectors tie, cycling through three kinds: "orthogonal" (G^T of
+  H = Q, Q from the QR of a Gaussian matrix, 0-120 dB), "scaled" (c W with W
+  a unimodular integer matrix, so the lattice is c Z^M) and "permuted"
+  (c D P with D diagonal over {1, 2} and P a permutation), c = 10^(-3..3).
+  Each line holds the same reductions as a channels line.
+
+The lines of each set follow those of the sets before it, so adding a set
+leaves the earlier lines in place.
 
 An operation that raises is written as its error type and message, in OUT.
 The library is imported from --src (default: the src/ next to this script),
@@ -78,14 +87,18 @@ def channel_cases(lib, seed, count):
         basis = lib.rates.ChannelInstance(h, 10.0 ** (snr_db / 10.0)).sic_cholesky.T
         line = {"set": "channels", "seed": seed, "i": i, "m": m, "n": n, "snr_db": snr_db, "cond": cond}
         floats = {"set": "channels", "seed": seed, "i": i}
-        lattice = lib.lattice
-        line["lll_0.75"] = outcome(lambda: lattice.lll_reduce(basis, 0.75).transform.tolist())
-        line["lll_0.99"] = outcome(lambda: lattice.lll_reduce(basis, 0.99).transform.tolist())
-        line["kz_lll"] = outcome(lambda: lattice.kz_approx_successive_lll(basis).transform.tolist())
-        if m <= lattice.MAX_ENUM_DIM:
-            line["kz"] = outcome(lambda: lattice.kz_reduce(basis).transform.tolist())
-            line["sv"], floats["sv"] = split(lambda: lattice.shortest_vector(basis))
-        yield line, floats
+        yield reduce_all(lib.lattice, basis, line, floats)
+
+
+def reduce_all(lattice, basis, line, floats):
+    """Add every reduction of basis to line, and the shortest vector length to floats."""
+    line["lll_0.75"] = outcome(lambda: lattice.lll_reduce(basis, 0.75).transform.tolist())
+    line["lll_0.99"] = outcome(lambda: lattice.lll_reduce(basis, 0.99).transform.tolist())
+    line["kz_lll"] = outcome(lambda: lattice.kz_approx_successive_lll(basis).transform.tolist())
+    if basis.shape[1] <= lattice.MAX_ENUM_DIM:
+        line["kz"] = outcome(lambda: lattice.kz_reduce(basis).transform.tolist())
+        line["sv"], floats["sv"] = split(lambda: lattice.shortest_vector(basis))
+    return line, floats
 
 
 def brute_cases(lib, seed, count):
@@ -104,6 +117,33 @@ def brute_cases(lib, seed, count):
         yield line, floats
 
 
+def unimodular(rng, m):
+    """Lower- times upper-triangular integer matrix with unit diagonals: det 1."""
+    lower = np.tril(rng.integers(-2, 3, size=(m, m)), -1) + np.eye(m, dtype=np.int64)
+    upper = np.triu(rng.integers(-2, 3, size=(m, m)), 1) + np.eye(m, dtype=np.int64)
+    return lower @ upper
+
+
+def tie_cases(lib, seed, count):
+    rng = np.random.default_rng([779, seed])
+    for i in range(count):
+        m = int(rng.integers(2, 11))
+        kind = ("orthogonal", "scaled", "permuted")[i % 3]
+        line = {"set": "ties", "seed": seed, "i": i, "m": m, "kind": kind}
+        if kind == "orthogonal":
+            q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+            line["snr_db"] = float(rng.uniform(0.0, 120.0))
+            basis = lib.rates.ChannelInstance(q, 10.0 ** (line["snr_db"] / 10.0)).sic_cholesky.T
+        else:
+            line["scale"] = float(10.0 ** rng.uniform(-3.0, 3.0))
+            if kind == "scaled":
+                basis = line["scale"] * unimodular(rng, m).astype(float)
+            else:
+                diag = rng.integers(1, 3, size=m).astype(float)
+                basis = line["scale"] * np.diag(diag)[:, rng.permutation(m)]
+        yield reduce_all(lib.lattice, basis, line, {"set": "ties", "seed": seed, "i": i})
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("out", help="JSON-lines output file; the floats go next to it")
@@ -119,7 +159,7 @@ def main(argv=None) -> int:
 
     root, ext = os.path.splitext(args.out)
     with open(args.out, "w") as f, open(root + ".floats" + ext, "w") as f_floats:
-        for cases in (channel_cases, brute_cases):
+        for cases in (channel_cases, brute_cases, tie_cases):
             for seed in range(args.seeds):
                 for line, floats in cases(ifwb, seed, args.per_seed):
                     f.write(json.dumps(line) + "\n")
