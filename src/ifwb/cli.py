@@ -329,15 +329,23 @@ def cmd_simulate(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read config {args.config}: {exc}") from exc
     try:
+        if not isinstance(raw, dict):
+            raise TypeError(f"the config must be a JSON object, got {type(raw).__name__}")
+        # float() and numpy read true and false as 1 and 0, also inside a list
+        for name in ("channel", "channel_imag", "snr_db", "noise_scale", "a_matrix"):
+            values = [(name, raw.get(name))]
+            while values:
+                label, value = values.pop()
+                if isinstance(value, bool):
+                    raise ValueError(f"{label} must be a number, got {value!r}")
+                if isinstance(value, list):
+                    values.extend((f"{name} entry", v) for v in value)
         if "channel_file" in raw:
             h = _read_matrix_csv(raw["channel_file"])
         else:
             h = np.array(raw["channel"], dtype=float)
         him = np.array(raw["channel_imag"], dtype=float) if "channel_imag" in raw else None
         h = _channel_matrix(h, him)
-        for name in ("snr_db", "noise_scale"):  # float() would read a bool as 1 or 0
-            if isinstance(raw.get(name), bool):
-                raise ValueError(f"{name} must be a number, got {raw[name]!r}")
         snr_db = float(raw["snr_db"])
         ch = ChannelInstance(h, _snr_linear(snr_db))
         a = (

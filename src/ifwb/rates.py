@@ -124,6 +124,8 @@ def as_integer_matrix(a, name: str = "A") -> np.ndarray:
     arr = np.asarray(a)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
+    if arr.dtype.kind == "b":
+        raise ValueError(f"{name} must have integer entries, got booleans")
     if arr.dtype.kind == "f":
         if not np.all(np.isfinite(arr)) or not np.all(arr == np.round(arr)):
             raise ValueError(f"{name} must have integer entries")

@@ -8,14 +8,15 @@ scheme coincides with lattice-reduction-aided SIC, and a decision-feedback
 decoder over the reduced channel is provided to check that equivalence
 trial by trial.
 
-Randomness is counter-based: a Philox generator keyed by the seed produces
-the symbol and noise arrays in a fixed layout, so trial t's randomness is a
+Randomness is counter-based: a Philox stream keyed by the seed holds all
+trials' symbol indices, then all trials' noise, so trial t's randomness is a
 pure function of (seed, t) and results do not depend on execution order.
-Trials are decoded CHUNK_TRIALS at a time, one contiguous row per stream, and
-a run keeps only error counts and the effective-noise sums, so its memory is
-about 4 M bytes per trial (the drawn symbol indices) plus one chunk's working
-arrays. trial_decisions runs the same chunk loop and also returns every
-trial's decisions (16 M bytes per trial more), for cross-checks.
+Trials are drawn and decoded CHUNK_TRIALS at a time, one contiguous row per
+stream, from two generators with the run's key, one reading the symbol part
+of the stream and one placed at the start of the noise part. A run keeps only
+error counts and the effective-noise sums, so it holds one chunk's arrays
+whatever the trial count. trial_decisions runs the same chunk loop and also
+returns every trial's decisions (16 M bytes per trial), for cross-checks.
 """
 
 from __future__ import annotations
@@ -103,14 +104,39 @@ def _parities(cfg: SimConfig) -> np.ndarray:
     return np.array([int(row.sum()) % 2 for row in cfg.A], dtype=np.int64)
 
 
+def _noise_generator(cfg: SimConfig) -> np.random.Generator:
+    """A Philox generator with the run's key, placed just after the draw of all
+    trials x M symbol indices, where the noise of the whole-run layout starts.
+
+    For a power-of-two pam_points the bounded draw never rejects, and each
+    index takes one 32-bit half of a 64-bit word, low half first: the indices
+    use ceil(trials M / 2) words, and Philox4x64 yields four words per counter
+    step, so the place is reached in O(1). Other sizes reject a data-dependent
+    number of words; the indices are then drawn chunk by chunk and dropped.
+    """
+    trials, m, q = cfg.trials, cfg.ch.num_streams, cfg.pam_points
+    bits = np.random.Philox(key=cfg.seed)
+    rng = np.random.Generator(bits)
+    if q & (q - 1) == 0:
+        words = (trials * m + 1) // 2
+        bits.advance(words // 4)
+        bits.random_raw(words % 4)
+    else:
+        for lo in range(0, trials, CHUNK_TRIALS):
+            rng.integers(0, q, size=(min(CHUNK_TRIALS, trials - lo), m), dtype=np.int32)
+    return rng
+
+
 def _run_chunks(cfg: SimConfig, noise_scale: float, model, decode, record=None) -> TrialResult:
     """Draw, receive, decode and count the trials CHUNK_TRIALS at a time.
 
-    The symbol indices are drawn in one piece, then the noise chunk by chunk
-    from the same Philox stream, which reproduces one whole-run draw exactly.
-    Per-stream arrays are M x chunk, so each step of ``decode(y, y_eff,
-    v_int)`` works on contiguous rows; it fills ``v_int`` with the decided
-    combinations 2k + parity, which are then inverted and sliced per stream.
+    Each chunk's symbol indices come from one generator and its noise from
+    _noise_generator's; numpy keeps a half-used 32-bit word across calls, so
+    the chunks reproduce one whole-run draw of the indices and then of the
+    noise exactly. Per-stream arrays are M x chunk, so each step of
+    ``decode(y, y_eff, v_int)`` works on contiguous rows; it fills ``v_int``
+    with the decided combinations 2k + parity, which are then inverted and
+    sliced per stream.
     ``record(lo, hi, v_int, odd_hat)``, if given, sees each chunk's decided
     combinations and odd stream integers for trials lo to hi.
     """
@@ -118,16 +144,17 @@ def _run_chunks(cfg: SimConfig, noise_scale: float, model, decode, record=None) 
     if not (math.isfinite(noise_scale) and noise_scale >= 0.0):
         raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale}")
     trials, m, q = cfg.trials, cfg.ch.num_streams, cfg.pam_points
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    u = rng.integers(0, q, size=(trials, m), dtype=np.int32)
+    symbols = np.random.Generator(np.random.Philox(key=cfg.seed))
+    noise_rng = _noise_generator(cfg)
     c = cfg.symbol_scale
     a_inv = np.linalg.inv(cfg.A)
     sym_errors, eq_errors = np.zeros((2, m), dtype=np.int64)
     zz = np.zeros((m, m))
     for lo in range(0, trials, CHUNK_TRIALS):
         hi = min(lo + CHUNK_TRIALS, trials)
-        odd = 2.0 * u[lo:hi] - (q - 1)  # exact odd integers, trials x M
-        noise = rng.standard_normal((hi - lo, cfg.ch.num_receive))
+        u = symbols.integers(0, q, size=(hi - lo, m), dtype=np.int32)
+        odd = 2.0 * u - (q - 1)  # exact odd integers, trials x M
+        noise = noise_rng.standard_normal((hi - lo, cfg.ch.num_receive))
         y = (c * odd) @ cfg.ch.H.T + noise_scale * noise
         y_eff = model.B @ y.T
         v_int = np.empty_like(y_eff)

@@ -267,6 +267,37 @@ class TestSimulate:
         assert "bad simulation config: A has an entry beyond the int64 range" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("a_matrix", ["[[true, false], [false, true]]", "[[1, true], [0, 1]]"])
+    def test_rejects_boolean_a_matrix_entries(self, capsys, tmp_path, a_matrix):
+        path = tmp_path / "bool_a.json"
+        path.write_text('{"channel": [[1.0, 0.0], [0.0, 1.0]], "snr_db": 20, "trials": 10, '
+                        f'"a_matrix": {a_matrix}}}')
+        assert main(["simulate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "bad simulation config: a_matrix entry must be a number, got True" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("field, channel", [
+        ("channel", '"channel": [[true, false], [false, true]]'),
+        ("channel", '"channel": [[1.0, 0.0], [false, 1.0]]'),
+        ("channel_imag", '"channel": [[1.0, 0.0], [0.0, 1.0]], "channel_imag": [[0.0, true], [0.0, 0.0]]'),
+    ])
+    def test_rejects_boolean_channel_entries(self, capsys, tmp_path, field, channel):
+        path = tmp_path / "bool_h.json"
+        path.write_text("{" + channel + ', "snr_db": 20, "trials": 10}')
+        assert main(["simulate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"bad simulation config: {field} entry must be a number" in captured.err
+        assert captured.out == ""
+
+    def test_rejects_a_config_that_is_not_an_object(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert main(["simulate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "bad simulation config: the config must be a JSON object, got list" in captured.err
+        assert captured.out == ""
+
     def test_rejects_snr_beyond_float_range(self, capsys, tmp_path):
         path = tmp_path / "loud.json"
         path.write_text('{"channel": [[1.0, 0.0], [0.0, 1.0]], "snr_db": 4000, "trials": 10}')

@@ -148,6 +148,10 @@ class TestAsIntegerMatrix:
         with pytest.raises(ValueError, match="beyond the int64 range"):
             as_integer_matrix(a)
 
+    def test_rejects_booleans(self):
+        with pytest.raises(ValueError, match="got booleans"):
+            as_integer_matrix(np.eye(2, dtype=bool))
+
     def test_keeps_the_int64_extremes(self):
         extremes = [[2**63 - 1, -(2**63)], [0, 1]]
         np.testing.assert_array_equal(as_integer_matrix(extremes), np.array(extremes, dtype=np.int64))

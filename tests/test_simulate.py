@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -400,19 +401,45 @@ class TestChunkSizeInvariance:
             assert_same_counts(run(cfg, 1.0), want, ktilde_rtol=1e-12)
 
 
+class TestNoiseGenerator:
+    """_noise_generator starts where the noise of one whole-run draw starts."""
+
+    # trials x M values take W = ceil(trials M / 2) words: M = 1 with 1 to 8
+    # trials gives both parities of trials M and every W mod 4; the rest cross
+    # the chunk boundaries. 2^32 mod 1431655766 is close to 1431655766, so
+    # about a third of its draws are rejected and W depends on the data.
+    @pytest.mark.parametrize("pam", [2, 4, 6, 16, 1431655766])
+    @pytest.mark.parametrize(
+        "trials, m",
+        [(t, 1) for t in range(1, 9)]
+        + [(CHUNK_TRIALS - 1, 3), (CHUNK_TRIALS, 3), (CHUNK_TRIALS + 1, 2), (3 * CHUNK_TRIALS + 1, 1)],
+    )
+    def test_placed_after_one_piece_symbol_draw(self, pam, trials, m):
+        cfg = SimConfig(ch=ChannelInstance(np.eye(m), 10.0), A=np.eye(m), pam_points=pam,
+                        trials=trials, seed=trials * m + pam)
+        rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+        rng.integers(0, pam, size=(trials, m), dtype=np.int32)
+        got = simulate._noise_generator(cfg).standard_normal(50)
+        assert np.array_equal(got, rng.standard_normal(50))
+
+
 def test_memory_stays_bounded_as_trials_grow():
-    """A run holds only the drawn symbol indices (int32, 4 M bytes per trial)
-    and one chunk's working arrays: no per-trial decisions."""
+    """A run holds one chunk's working arrays whatever the trial count: no
+    whole-run symbol draw and no per-trial decisions."""
     rng = np.random.default_rng(60)
     ch = ChannelInstance(rng.standard_normal((4, 4)), 100.0)
-    cfg = SimConfig(ch=ch, A=optimal_a(ch, "kz_exact"), pam_points=4, trials=200_000, seed=3)
-    # about ten 4 x chunk float64 arrays are live at once; allow sixteen
-    chunk_arrays = 16 * 8 * 4 * simulate.CHUNK_TRIALS
-    for run in (run_successive_if_trials, run_lr_aided_sic_trials):
-        tracemalloc.start()
-        try:
-            run(cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * 4 * cfg.trials + chunk_arrays, run.__name__
+    a = optimal_a(ch, "kz_exact")
+    chunk_array = 8 * 4 * simulate.CHUNK_TRIALS  # one 4 x chunk float64 array
+    # PAM 4 places the noise generator by counter arithmetic, PAM 6 by a skip pass
+    for pam, run in itertools.product((4, 6), (run_successive_if_trials, run_lr_aided_sic_trials)):
+        peaks = []
+        for trials in (200_000, 1_000_000):
+            tracemalloc.start()
+            try:
+                run(SimConfig(ch=ch, A=a, pam_points=pam, trials=trials, seed=3))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # about ten chunk arrays are live at once; allow sixteen
+        assert max(peaks) <= 16 * chunk_array, (pam, run.__name__, peaks)
+        assert abs(peaks[1] - peaks[0]) <= chunk_array, (pam, run.__name__, peaks)
