@@ -13,7 +13,8 @@ trials' symbol indices, then all trials' noise, so trial t's randomness is a
 pure function of (seed, t) and results do not depend on execution order.
 Trials are drawn and decoded CHUNK_TRIALS at a time, one contiguous row per
 stream, from two generators with the run's key, one reading the symbol part
-of the stream and one placed at the start of the noise part. A run keeps only
+of the stream and one placed at the start of the noise part. A run allocates
+its chunk arrays once and every chunk writes into them, and it keeps only
 error counts and the effective-noise sums, so it holds one chunk's arrays
 whatever the trial count. trial_decisions runs the same chunk loop and also
 returns every trial's decisions (16 M bytes per trial), for cross-checks.
@@ -62,8 +63,10 @@ class SimConfig:
         object.__setattr__(self, "A", a)
         self.A.setflags(write=False)
         q = _integer("pam_points", self.pam_points)
-        if q < 2 or q % 2 != 0:
-            raise ValueError(f"pam_points must be an even integer >= 2, got {self.pam_points}")
+        if q < 2 or q % 2 != 0 or q > 2**31:
+            raise ValueError(
+                f"pam_points must be an even integer from 2 to 2**31, got {self.pam_points}"
+            )
         object.__setattr__(self, "pam_points", q)
         t = _integer("trials", self.trials)
         if t < 1:
@@ -91,33 +94,48 @@ class TrialResult:
 
 # Trials decoded per pass, the length of every row a decoding step works on.
 # Timed over the link_sim case mix, 2^13 was the fastest of 2^10 to 2^16:
-# 2^12 and 2^14 took 5-8 % longer, 2^16 10 % and 2^10 31 %.
+# 2^12 and 2^14 took 5-8 % longer, 2^16 10 % and 2^10 31 %. With the chunk
+# workspace, in 10 rotating rounds on a 2-core VM, 2^12 and 2^14 took 6 %
+# longer in the median and were faster in 5 and 4 of the 10 rounds.
 CHUNK_TRIALS = 1 << 13
 
 
-def _slice_grid(values: np.ndarray, scale: float, parity: int) -> np.ndarray:
-    """Round to the nearest point of scale * (2Z + parity); return 2k + parity as exact floats."""
-    return 2.0 * np.rint((values / scale - parity) / 2.0) + parity
+def _slice_grid(values: np.ndarray, parity) -> np.ndarray:
+    """Round values in place to the nearest point of 2Z + parity, as exact floats."""
+    np.subtract(values, parity, out=values)
+    np.divide(values, 2.0, out=values)
+    np.rint(values, out=values)
+    np.multiply(values, 2.0, out=values)
+    return np.add(values, parity, out=values)
 
 
 def _parities(cfg: SimConfig) -> np.ndarray:
     return np.array([int(row.sum()) % 2 for row in cfg.A], dtype=np.int64)
 
 
+def _rows(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The C-contiguous rows x cols view at the start of the flat workspace buf,
+    laid out as a fresh array of that shape would be."""
+    return buf[: rows * cols].reshape(rows, cols)
+
+
 def _noise_generator(cfg: SimConfig) -> np.random.Generator:
     """A Philox generator with the run's key, placed just after the draw of all
     trials x M symbol indices, where the noise of the whole-run layout starts.
 
-    For a power-of-two pam_points the bounded draw never rejects, and each
-    index takes one 32-bit half of a 64-bit word, low half first: the indices
-    use ceil(trials M / 2) words, and Philox4x64 yields four words per counter
-    step, so the place is reached in O(1). Other sizes reject a data-dependent
-    number of words; the indices are then drawn chunk by chunk and dropped.
+    A power-of-two pam_points reaches that place in O(1). Other sizes reject
+    a data-dependent number of words; the indices are then drawn chunk by
+    chunk and dropped.
     """
     trials, m, q = cfg.trials, cfg.ch.num_streams, cfg.pam_points
     bits = np.random.Philox(key=cfg.seed)
     rng = np.random.Generator(bits)
     if q & (q - 1) == 0:
+        # For q = 2^k numpy's bounded 32-bit draw (Lemire's method) never
+        # rejects: each index is the top k bits, x >> (32 - k), of one 32-bit
+        # half of a 64-bit word, low half first; _index_draw takes them from
+        # the words this way. The indices use ceil(trials M / 2) words, and
+        # Philox4x64 yields four words per counter step.
         words = (trials * m + 1) // 2
         bits.advance(words // 4)
         bits.random_raw(words % 4)
@@ -127,47 +145,94 @@ def _noise_generator(cfg: SimConfig) -> np.random.Generator:
     return rng
 
 
+def _index_draw(cfg: SimConfig):
+    """draw(t) returns the next t x M symbol indices of the whole-run draw
+    Generator(Philox(key=seed)).integers(0, q, size=(trials, M), dtype=int32).
+
+    A power-of-two q takes them straight from the Philox words, by the layout
+    stated in _noise_generator, into a workspace that the next call
+    overwrites; when t M is odd the unused high half of the last word opens
+    the next call. Other sizes use Generator.integers.
+    """
+    m, q = cfg.ch.num_streams, cfg.pam_points
+    bits = np.random.Philox(key=cfg.seed)
+    if q & (q - 1):
+        rng = np.random.Generator(bits)
+        return lambda t: rng.integers(0, q, size=(t, m), dtype=np.int32)
+    shift = 33 - q.bit_length()
+    buf = np.empty(min(CHUNK_TRIALS, cfg.trials) * m, dtype=np.uint32)
+    carry = []  # the high half-word that the previous call left unused
+
+    def draw(t):
+        u = buf[: t * m]
+        head = len(carry)
+        u[:head] = carry
+        words = bits.random_raw((u.size - head + 1) // 2)
+        halves = words.astype("<u8", copy=False).view("<u4")  # low half first on any host
+        np.right_shift(halves[: u.size - head], shift, out=u[head:])
+        carry[:] = [halves[-1] >> shift] if halves.size > u.size - head else []
+        return u.reshape(t, m)
+
+    return draw
+
+
 def _run_chunks(cfg: SimConfig, noise_scale: float, model, decode, record=None) -> TrialResult:
     """Draw, receive, decode and count the trials CHUNK_TRIALS at a time.
 
-    Each chunk's symbol indices come from one generator and its noise from
-    _noise_generator's; numpy keeps a half-used 32-bit word across calls, so
-    the chunks reproduce one whole-run draw of the indices and then of the
-    noise exactly. Per-stream arrays are M x chunk, so each step of
-    ``decode(y, y_eff, v_int)`` works on contiguous rows; it fills ``v_int``
-    with the decided combinations 2k + parity, which are then inverted and
-    sliced per stream.
+    Each chunk's symbol indices come from _index_draw and its noise from
+    _noise_generator's generator, so the chunks reproduce one whole-run draw
+    of the indices and then of the noise exactly. The chunk arrays are
+    allocated once per run, for min(CHUNK_TRIALS, trials) trials; a short
+    last chunk uses contiguous views at their start. Every elementwise step
+    and product writes into them with ``out=``, the same operations on the
+    same operands as with fresh arrays. Per-stream arrays are M x chunk, so
+    each step of ``decode(y, y_eff, v_int)`` works on contiguous rows; it
+    fills ``v_int`` with the decided combinations 2k + parity, which are then
+    inverted and sliced per stream.
     ``record(lo, hi, v_int, odd_hat)``, if given, sees each chunk's decided
-    combinations and odd stream integers for trials lo to hi.
+    combinations and odd stream integers for trials lo to hi. Like the arrays
+    passed to ``decode``, they are workspace views that the next chunk
+    overwrites, so ``record`` must copy what it keeps.
     """
     noise_scale = float(noise_scale)
     if not (math.isfinite(noise_scale) and noise_scale >= 0.0):
         raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale}")
-    trials, m, q = cfg.trials, cfg.ch.num_streams, cfg.pam_points
-    symbols = np.random.Generator(np.random.Philox(key=cfg.seed))
+    trials, m, n, q = cfg.trials, cfg.ch.num_streams, cfg.ch.num_receive, cfg.pam_points
+    draw = _index_draw(cfg)
     noise_rng = _noise_generator(cfg)
     c = cfg.symbol_scale
+    h_t = cfg.ch.H.T
+    a = cfg.A.astype(float)
     a_inv = np.linalg.inv(cfg.A)
     sym_errors, eq_errors = np.zeros((2, m), dtype=np.int64)
-    zz = np.zeros((m, m))
+    zz, zz_chunk = np.zeros((2, m, m))
+    size = min(CHUNK_TRIALS, trials)
+    odd_buf, c_odd_buf, y_eff_buf, v_int_buf, v_true_buf, odd_hat_buf = np.empty((6, size * m))
+    noise_buf, y_buf = np.empty((2, size * n))
+    mask_buf = np.empty(size * m, dtype=bool)
     for lo in range(0, trials, CHUNK_TRIALS):
         hi = min(lo + CHUNK_TRIALS, trials)
-        u = symbols.integers(0, q, size=(hi - lo, m), dtype=np.int32)
-        odd = 2.0 * u - (q - 1)  # exact odd integers, trials x M
-        noise = noise_rng.standard_normal((hi - lo, cfg.ch.num_receive))
-        y = (c * odd) @ cfg.ch.H.T + noise_scale * noise
-        y_eff = model.B @ y.T
-        v_int = np.empty_like(y_eff)
+        t = hi - lo
+        odd, c_odd = _rows(odd_buf, t, m), _rows(c_odd_buf, t, m)
+        noise, y = _rows(noise_buf, t, n), _rows(y_buf, t, n)
+        y_eff, v_int, v_true, odd_hat, mask = (
+            _rows(b, m, t) for b in (y_eff_buf, v_int_buf, v_true_buf, odd_hat_buf, mask_buf))
+        np.multiply(draw(t), 2.0, out=odd)
+        np.subtract(odd, q - 1, out=odd)  # exact odd integers, trials x M
+        np.matmul(np.multiply(odd, c, out=c_odd), h_t, out=y)
+        noise_rng.standard_normal(out=noise)
+        np.add(y, np.multiply(noise, noise_scale, out=noise), out=y)
+        np.matmul(model.B, y.T, out=y_eff)
         decode(y, y_eff, v_int)
-        v_true = cfg.A @ odd.T  # exact small integers
-        eq_errors += np.count_nonzero(v_int != v_true, axis=1)
-        odd_hat = 2.0 * np.rint((a_inv @ v_int - 1.0) / 2.0) + 1.0
+        np.matmul(a, odd.T, out=v_true)  # exact small integers
+        eq_errors += np.count_nonzero(np.not_equal(v_int, v_true, out=mask), axis=1)
+        _slice_grid(np.matmul(a_inv, v_int, out=odd_hat), 1.0)
         np.clip(odd_hat, 1 - q, q - 1, out=odd_hat)
-        sym_errors += np.count_nonzero(odd_hat != odd.T, axis=1)
+        sym_errors += np.count_nonzero(np.not_equal(odd_hat, odd.T, out=mask), axis=1)
         if record is not None:
             record(lo, hi, v_int, odd_hat)
-        z = y_eff - c * v_true
-        zz += z @ z.T
+        z = np.subtract(y_eff, np.multiply(v_true, c, out=v_true), out=v_true)
+        zz += np.matmul(z, z.T, out=zz_chunk)
     return TrialResult(
         symbol_error_rate=tuple((sym_errors / trials).tolist()),
         equation_error_rate=tuple((eq_errors / trials).tolist()),
@@ -182,13 +247,20 @@ def _successive_if(cfg: SimConfig):
     parity = _parities(cfg)
     c = cfg.symbol_scale
     sq = math.sqrt(cfg.ch.snr)
+    m, size = cfg.ch.num_streams, min(CHUNK_TRIALS, cfg.trials)
+    w_buf, target_buf = np.empty(size * m), np.empty(size)
 
     def decode(y, y_eff, v_int):
-        w = np.empty_like(y_eff)
+        t = y_eff.shape[1]
+        w = _rows(w_buf, m, t)
         for step, row in enumerate(y_eff):
-            target = row - sq * (model.L[step, :step] @ w[:step]) if step else row
-            v_int[step] = _slice_grid(target, c, parity[step])
-            w[step] = (target - c * v_int[step]) / (sq * model.L[step, step])
+            target = row
+            if step:
+                target = np.matmul(model.L[step, :step], w[:step], out=target_buf[:t])
+                np.subtract(row, np.multiply(target, sq, out=target), out=target)
+            _slice_grid(np.divide(target, c, out=v_int[step]), parity[step])
+            np.subtract(target, np.multiply(v_int[step], c, out=w[step]), out=w[step])
+            np.divide(w[step], sq * model.L[step, step], out=w[step])
 
     return model, decode
 
@@ -203,14 +275,20 @@ def _lr_aided_sic(cfg: SimConfig):
     model = if_effective_model(cfg.ch, cfg.A)
     parity = _parities(cfg)
     c = cfg.symbol_scale
+    m, size = cfg.ch.num_streams, min(CHUNK_TRIALS, cfg.trials)
+    y_fwd_buf, v_hat_buf, target_buf = np.empty(size * m), np.empty(size * m), np.empty(size)
 
     def decode(y, y_eff, v_int):
-        y_fwd = filters.B @ y.T
-        v_hat = np.empty_like(y_fwd)
+        t = y_eff.shape[1]
+        y_fwd = np.matmul(filters.B, y.T, out=_rows(y_fwd_buf, m, t))
+        v_hat = _rows(v_hat_buf, m, t)
         for step, row in enumerate(y_fwd):
-            target = row - filters.Cfeedback[step, :step] @ v_hat[:step] if step else row
-            v_int[step] = _slice_grid(target, c, parity[step])
-            v_hat[step] = c * v_int[step]
+            target = row
+            if step:
+                target = np.matmul(filters.Cfeedback[step, :step], v_hat[:step], out=target_buf[:t])
+                np.subtract(row, target, out=target)
+            _slice_grid(np.divide(target, c, out=v_int[step]), parity[step])
+            np.multiply(v_int[step], c, out=v_hat[step])
 
     return model, decode
 

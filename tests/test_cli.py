@@ -245,6 +245,16 @@ class TestSimulate:
         assert f"bad simulation config: {field} must be an integer" in captured.err
         assert captured.out == ""
 
+    def test_rejects_pam_points_above_int32_draw(self, capsys, tmp_path):
+        path = tmp_path / "pam.json"
+        path.write_text('{"channel": [[1.0]], "snr_db": 20, "trials": 10, '
+                        '"pam_points": 4294967296}')
+        assert main(["simulate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert ("bad simulation config: pam_points must be an even integer from 2 to 2**31"
+                in captured.err)
+        assert captured.out == ""
+
     @pytest.mark.parametrize("field", ["snr_db", "noise_scale"])
     def test_rejects_booleans(self, capsys, tmp_path, field):
         path = tmp_path / "bool.json"

@@ -62,6 +62,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(ch=ch, A=np.eye(2, dtype=int), pam_points=3, trials=10, seed=0)
 
+    @pytest.mark.parametrize("pam", [2**31 + 2, 2**32])
+    def test_rejects_pam_points_above_int32_draw(self, pam):
+        ch = ChannelInstance(np.eye(2), 4.0)
+        with pytest.raises(ValueError, match=r"from 2 to 2\*\*31"):
+            SimConfig(ch=ch, A=np.eye(2, dtype=int), pam_points=pam, trials=10, seed=0)
+        assert SimConfig(ch=ch, A=np.eye(2, dtype=int), pam_points=2**31, trials=10,
+                         seed=0).pam_points == 2**31
+
     def test_rejects_zero_trials(self):
         ch = ChannelInstance(np.eye(2), 4.0)
         with pytest.raises(ValueError):
@@ -372,7 +380,7 @@ class TestChunkedMatchesMonolithic:
     @pytest.mark.parametrize("run, reference", _DECODERS)
     @pytest.mark.parametrize("noise_scale", [0.0, 1.0])
     @pytest.mark.parametrize("m", range(1, 9))
-    @pytest.mark.parametrize("pam", [2, 4, 6, 16])
+    @pytest.mark.parametrize("pam", [2, 4, 6, 16, 2**16, 2**31])
     def test_many_small_chunks(self, monkeypatch, run, reference, noise_scale, m, pam):
         chunk = 5
         monkeypatch.setattr(simulate, "CHUNK_TRIALS", chunk)
@@ -421,6 +429,26 @@ class TestNoiseGenerator:
         rng.integers(0, pam, size=(trials, m), dtype=np.int32)
         got = simulate._noise_generator(cfg).standard_normal(50)
         assert np.array_equal(got, rng.standard_normal(50))
+
+
+class TestIndexDraw:
+    """_index_draw's chunks are numpy's one-piece bounded draw of the indices."""
+
+    # q = 2 to 2^31 shifts each 32-bit half-word right by 31 down to 1; odd
+    # trials x M leave a half-word to the next chunk, which chunks of 1, 5
+    # and 7 trials cross at every parity. 6 takes Generator.integers.
+    @pytest.mark.parametrize("pam", [2, 4, 6, 16, 2**16, 2**31])
+    @pytest.mark.parametrize("chunk", [1, 5, 7])
+    @pytest.mark.parametrize("trials, m", [(1, 1), (4, 1), (9, 3), (23, 1), (36, 5)])
+    def test_chunks_match_one_piece_draw(self, monkeypatch, pam, chunk, trials, m):
+        monkeypatch.setattr(simulate, "CHUNK_TRIALS", chunk)
+        cfg = SimConfig(ch=ChannelInstance(np.eye(m), 10.0), A=np.eye(m), pam_points=pam,
+                        trials=trials, seed=trials * m + pam)
+        draw = simulate._index_draw(cfg)  # each call overwrites the last one's indices
+        got = np.concatenate(
+            [draw(min(chunk, trials - lo)).copy() for lo in range(0, trials, chunk)])
+        rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+        assert np.array_equal(got, rng.integers(0, pam, size=(trials, m), dtype=np.int32))
 
 
 def test_memory_stays_bounded_as_trials_grow():
