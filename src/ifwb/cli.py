@@ -340,10 +340,7 @@ def cmd_simulate(args) -> int:
                     raise ValueError(f"{label} must be a number, got {value!r}")
                 if isinstance(value, list):
                     values.extend((f"{name} entry", v) for v in value)
-        if "channel_file" in raw:
-            h = _read_matrix_csv(raw["channel_file"])
-        else:
-            h = np.array(raw["channel"], dtype=float)
+        h = np.array(raw["channel"], dtype=float)
         him = np.array(raw["channel_imag"], dtype=float) if "channel_imag" in raw else None
         h = _channel_matrix(h, him)
         snr_db = float(raw["snr_db"])

@@ -9,7 +9,7 @@ data comes from one Householder QR (_gso); the reduction loops then keep it
 current on Python lists (one float list per column, mu as a list of rows)
 with the same IEEE operations, in the same order, as numpy elementwise. Only
 _gso and the last search level of the brute-force oracle (one pass over its
-sorted candidates per incumbent) run in numpy.
+candidates per node) run in numpy.
 
 Exact routines (shortest vector, KZ) are guarded to dimension 10; they rely
 on one depth-first enumeration (_shortest) with a radius seeded by an actual
@@ -52,13 +52,6 @@ def int_det(a) -> int:
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("determinant requires a square matrix")
-    if n == 1:
-        return mat[0][0]
-    if n == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    if n == 3:
-        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = mat
-        return a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -454,17 +447,17 @@ def brute_force_min_max(g, entry_bound: int, objective: str = "successive_if"):
     - "successive_if": max_k L[k,k]^2 (worst per-step prediction residual)
     - "standard_if":   max_k sum_i L[k,i]^2 (worst equation row norm)
 
-    Returns (A, value). Ties are broken by smallest Frobenius norm, then by
-    lexicographic order of the flattened entries, so results are stable.
+    Returns (A, value). Values within 1e-12 max(1, v) of the least value v
+    are ties; of the tied matrices the smallest Frobenius norm wins, then
+    the lexicographically smallest flattened entries, so results are stable.
 
     The search is a depth-first branch-and-bound over ordered row prefixes,
     exhaustive because both objectives are monotone in the prefix maximum.
     The objective is invariant under per-row sign flips, so only sign
-    representatives are enumerated and each surviving matrix is canonicalized
-    to its lexicographically smallest sign variant, which reproduces the
-    tie-break of a full scan. The last row is chosen by a numpy scan of the
-    node's candidates in ascending order, one pass per change of the
-    incumbent (scan_last), not by one Python step per candidate.
+    representatives are enumerated and each matrix is canonicalized to its
+    lexicographically smallest sign variant, as in a full scan. Each
+    last-level node keeps its candidates tied with the least value so far,
+    in one numpy pass; the tie is broken once, over what is kept at the end.
     """
     g = as_matrix(g, "G")
     m = g.shape[0]
@@ -495,26 +488,12 @@ def brute_force_min_max(g, entry_bound: int, objective: str = "successive_if"):
             return float(np.max(np.diag(l) ** 2))
         return float(np.max(np.sum(l * l, axis=1)))
 
-    # Each enumerated row's first nonzero entry is positive, so its
-    # lexicographically smallest sign variant is its negation; reps ascend
-    # lexicographically, so these descend and rank in reverse.
-    canon_rows = [tuple(row) for row in (-cand).tolist()]
-    canon_rank = np.arange(len(reps))[::-1]
-    frob_arr = np.sum(cand * cand, axis=1)
-    row_frob = [int(v) for v in frob_arr]
-    # A = I is always feasible and seeds the bound
-    ident = [reps.index(tuple(int(i == j) for j in range(m))) for i in range(m)]
-    best = {"value": chol_value(np.eye(m)), "frob": m, "rows": ident}
+    frob = np.sum(cand * cand, axis=1)
+    least = chol_value(np.eye(m))  # A = I is always feasible and seeds the bound
+    kept = []  # (prefix, indices, values) of last-level candidates tied with least
 
-    def consider(rows: list, value: float) -> None:
-        """Make rows the incumbent if better; value is at most the incumbent's plus the tie."""
-        tie = 1e-12 * max(1.0, best["value"])
-        frob = sum(row_frob[i] for i in rows)
-        if value < best["value"] - tie or frob < best["frob"] or (
-            frob == best["frob"]
-            and [canon_rows[i] for i in rows] < [canon_rows[i] for i in best["rows"]]
-        ):
-            best.update(value=value, frob=frob, rows=rows)
+    def ceiling(value: float) -> float:
+        return value + _TIE * max(1.0, value)
 
     c = list(cand.T)
 
@@ -532,56 +511,21 @@ def brute_force_min_max(g, entry_bound: int, objective: str = "successive_if"):
         return ((r[1] * s[2] - r[2] * s[1]) * c[0] + (r[2] * s[0] - r[0] * s[2]) * c[1]
                 + (r[0] * s[1] - r[1] * s[0]) * c[2] != 0)
 
-    def scan_last(chosen: list, indep: np.ndarray, order: np.ndarray, vals: np.ndarray) -> None:
-        """The last level, one numpy pass per incumbent over the ascending vals.
-
-        Between two replacements of the incumbent every candidate's outcome
-        in consider is fixed, so only the first independent candidate (which
-        sets node_best) and each one that would replace the incumbent are
-        passed to consider. After the first, no value is below the
-        incumbent's minus the tie (the first either became the incumbent or
-        was not below it), so a later one replaces only on the tie-break.
-        """
-        prefix = [canon_rows[i] for i in chosen]
-        prefix_frob = sum(row_frob[i] for i in chosen)
-        node_best = None
-        start = 0
-        while True:
-            tie = 1e-12 * max(1.0, best["value"])
-            bound = best["value"] + tie
-            if node_best is not None:
-                # beyond node_best + tie: worse than this node's own optimum,
-                # never a global tie
-                bound = min(bound, node_best + tie)
-            end = int(vals.searchsorted(bound, side="right"))
-            window = order[start:end]
-            hit = indep[window]
-            if node_best is not None:
-                best_prefix = [canon_rows[i] for i in best["rows"][:-1]]
-                if prefix == best_prefix:
-                    smaller = canon_rank[window] < canon_rank[best["rows"][-1]]
-                else:
-                    smaller = prefix < best_prefix
-                frob = frob_arr[window] + prefix_frob
-                hit &= (frob < best["frob"]) | ((frob == best["frob"]) & smaller)
-            if not hit.any():
-                return
-            i = start + int(hit.argmax())
-            if node_best is None:
-                node_best = float(vals[i])
-            consider(chosen + [int(order[i])], float(vals[i]))
-            start = i + 1
-
     def descend(chosen: list, resid_sq: np.ndarray, ortho: list, partial_max: float) -> None:
+        nonlocal least
         indep = independent(chosen)
         level_val = resid_sq if successive else norms_sq
-        order = np.argsort(level_val, kind="stable")
         if len(chosen) == m - 1:
-            scan_last(chosen, indep, order, np.maximum(partial_max, level_val[order]))
+            idx = np.flatnonzero(indep)
+            vals = np.maximum(partial_max, level_val[idx])
+            if len(idx):
+                least = min(least, float(vals.min()))
+                tied = vals <= ceiling(least)
+                kept.append((chosen, idx[tied], vals[tied]))
             return
-        for idx in order:
+        for idx in np.argsort(level_val, kind="stable"):
             value = max(partial_max, float(level_val[idx]))
-            if value > best["value"] + 1e-12 * max(1.0, best["value"]):
+            if value > ceiling(least):
                 break  # ascending level values: the rest only get worse
             if not indep[idx]:
                 continue
@@ -596,5 +540,17 @@ def brute_force_min_max(g, entry_bound: int, objective: str = "successive_if"):
             descend(chosen + [idx], child_resid, ortho + [q], value)
 
     descend([], norms_sq.copy(), [], 0.0)
-    a = np.array([canon_rows[i] for i in best["rows"]], dtype=np.int64)
+
+    def winner(prefix: list, idx: np.ndarray, vals: np.ndarray):
+        """(Frobenius norm, canonical rows) of the prefix's best tie, or None."""
+        idx = idx[vals <= ceiling(least)]
+        if not len(idx):
+            return None
+        # reps ascend and a canonical row is its representative's negation,
+        # so of the smallest norms the largest index is the smallest row
+        rows = prefix + [int(idx[np.lexsort((-idx, frob[idx]))[0]])]
+        return int(frob[rows].sum()), [[-x for x in reps[i]] for i in rows]
+
+    _, rows = min(filter(None, (winner(*entry) for entry in kept)))
+    a = np.array(rows, dtype=np.int64)
     return a, chol_value(a)

@@ -323,6 +323,26 @@ class TestSimulate:
         res = run_json(capsys, ["simulate", "--config", str(path)])["results"]
         assert (res["trials"], res["pam_points"], res["seed"]) == (100, 4, 2)
 
+    def test_flags_override_the_config(self, capsys, tmp_path):
+        path = tmp_path / "override.json"
+        path.write_text('{"channel": [[1.0, 0.0], [0.0, 1.0]], "snr_db": 20, '
+                        '"trials": 100, "seed": 1, "pam_points": 4}')
+        argv = ["simulate", "--config", str(path), "--trials", "50", "--seed", "9"]
+        res = run_json(capsys, argv + ["--pam", "2"])["results"]
+        assert (res["trials"], res["seed"], res["pam_points"]) == (50, 9, 2)
+        assert main(argv + ["--pam", "3"]) == 2
+        captured = capsys.readouterr()
+        assert "bad simulation config: pam_points must be an even integer" in captured.err
+        assert captured.out == ""
+
+    def test_channel_file_is_not_a_config_key(self, capsys, tmp_path, ex1_csv):
+        path = tmp_path / "file.json"
+        path.write_text(json.dumps({"channel_file": ex1_csv, "snr_db": 20, "trials": 10}))
+        assert main(["simulate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "bad simulation config: 'channel'" in captured.err
+        assert captured.out == ""
+
     def test_rejects_garbage_config(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -694,8 +694,8 @@ class TestIncrementalMatchesReference:
         with pytest.raises(DegenerateBasis):
             _swap_gso([[0.0, 0.0], [0.0, 0.0]], [1.0, 0.0], 1)
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    @pytest.mark.parametrize("bound", [1, 2, 3])
+    # at M = 3 the full scan of bounds 4 and 5 has up to 665^3 row triples
+    @pytest.mark.parametrize("bound, m", [(b, m) for m in (1, 2, 3) for b in range(1, 4 if m == 3 else 6)])
     @pytest.mark.parametrize("objective", ["successive_if", "standard_if"])
     def test_brute_force_identical(self, m, bound, objective):
         rng = np.random.default_rng([m, bound, objective == "standard_if"])

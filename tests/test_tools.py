@@ -15,18 +15,20 @@ def test_lattice_identity_writes_one_line_per_case(tmp_path):
     assert runpy.run_path(TOOL)["main"]([str(out), "--seeds", "1", "--per-seed", "3"]) == 0
     lines = [json.loads(line) for line in out.read_text().splitlines()]
     floats = [json.loads(line) for line in (tmp_path / "identity.floats.jsonl").read_text().splitlines()]
-    assert [line["set"] for line in lines] == ["channels"] * 3 + ["brute"] * 3 + ["ties"] * 3
+    sets = ["channels", "brute", "ties", "brute_wide"]
+    assert [line["set"] for line in lines] == [name for name in sets for _ in range(3)]
     assert [(f["set"], f["seed"], f["i"]) for f in floats] == [(x["set"], x["seed"], x["i"]) for x in lines]
-    for line, f in zip(lines[:3] + lines[6:], floats[:3] + floats[6:]):
+    for line, f in zip(lines[:3] + lines[6:9], floats[:3] + floats[6:9]):
         names = ["lll_0.75", "lll_0.99", "kz_lll"] + (["kz", "sv"] if line["m"] <= 10 else [])
         assert all(isinstance(line[name], list) for name in names)  # an error is written as a dict
         if line["m"] <= 10:
             assert all(isinstance(v, int) for v in line["sv"]) and isinstance(f["sv"], float)
-    for line, f in zip(lines[3:6], floats[3:6]):
+    for line, f in zip(lines[3:6] + lines[9:], floats[3:6] + floats[9:]):
         assert all(isinstance(v, int) for row in line["brute"] for v in row)
         assert isinstance(f["brute"], float)
+    assert {line["bound"] for line in lines[9:]} <= {4, 5}
     # one tie case of each kind; an orthogonal basis keeps its own columns
-    assert [line["kind"] for line in lines[6:]] == ["orthogonal", "scaled", "permuted"]
+    assert [line["kind"] for line in lines[6:9]] == ["orthogonal", "scaled", "permuted"]
     assert lines[6]["kz"] == np.eye(lines[6]["m"], dtype=int).tolist()
 
 

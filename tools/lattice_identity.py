@@ -8,7 +8,7 @@ vector coefficients, brute-force A); OUT.floats.jsonl holds, line for line,
 its float outputs (the shortest vector length, the brute-force value), so a
 last-bit change of a float does not hide among changed transforms.
 
-Three seeded sets of seeds x per-seed cases each (2100 with the defaults):
+Four seeded sets of seeds x per-seed cases each (2100 with the defaults):
 
 - channels: channel i of seed s from default_rng([777, s]); M 2-16, N 1-16,
   0-120 dB, odd i with a condition number 1-1e9. The basis is G^T with
@@ -25,6 +25,7 @@ Three seeded sets of seeds x per-seed cases each (2100 with the defaults):
   a unimodular integer matrix, so the lattice is c Z^M) and "permuted"
   (c D P with D diagonal over {1, 2} and P a permutation), c = 10^(-3..3).
   Each line holds the same reductions as a channels line.
+- brute_wide: as brute, from default_rng([780, s]) with bounds 4-5.
 
 The lines of each set follow those of the sets before it, so adding a set
 leaves the earlier lines in place.
@@ -101,20 +102,24 @@ def reduce_all(lattice, basis, line, floats):
     return line, floats
 
 
-def brute_cases(lib, seed, count):
-    rng = np.random.default_rng([778, seed])
+def brute_cases(lib, seed, count, name="brute", key=778, bounds=(1, 3)):
+    rng = np.random.default_rng([key, seed])
     for i in range(count):
         m = int(rng.integers(1, 4))
         n = int(rng.integers(1, 4))
-        bound = int(rng.integers(1, 4))
+        bound = int(rng.integers(bounds[0], bounds[1] + 1))
         objective = ("successive_if", "standard_if")[int(rng.integers(0, 2))]
         snr_db = float(rng.uniform(0.0, 60.0))
         g = lib.rates.ChannelInstance(rng.standard_normal((n, m)), 10.0 ** (snr_db / 10.0)).sic_cholesky
-        line = {"set": "brute", "seed": seed, "i": i, "m": m, "n": n, "bound": bound,
+        line = {"set": name, "seed": seed, "i": i, "m": m, "n": n, "bound": bound,
                 "objective": objective, "snr_db": snr_db}
-        floats = {"set": "brute", "seed": seed, "i": i}
+        floats = {"set": name, "seed": seed, "i": i}
         line["brute"], floats["brute"] = split(lambda: lib.lattice.brute_force_min_max(g, bound, objective))
         yield line, floats
+
+
+def brute_wide_cases(lib, seed, count):
+    return brute_cases(lib, seed, count, "brute_wide", 780, (4, 5))
 
 
 def unimodular(rng, m):
@@ -159,7 +164,7 @@ def main(argv=None) -> int:
 
     root, ext = os.path.splitext(args.out)
     with open(args.out, "w") as f, open(root + ".floats" + ext, "w") as f_floats:
-        for cases in (channel_cases, brute_cases, tie_cases):
+        for cases in (channel_cases, brute_cases, tie_cases, brute_wide_cases):
             for seed in range(args.seeds):
                 for line, floats in cases(ifwb, seed, args.per_seed):
                     f.write(json.dumps(line) + "\n")
