@@ -31,6 +31,7 @@ from .rates import (
     SicPlan,
     SuccessiveIfRates,
     allocate_rates,
+    feasible_allocations,
     gdfe_filters,
     if_effective_model,
     if_rates,

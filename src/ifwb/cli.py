@@ -27,13 +27,12 @@ from .lattice import int_det
 from .linalg import complex_to_real
 from .rates import (
     ChannelInstance,
-    allocate_rates,
     as_integer_matrix,
+    feasible_allocations,
     if_effective_model,
     if_rates,
     mmse_sic_plan,
     optimal_a,
-    pseudo_triangularize,
     successive_if_rates,
     successive_objective,
     waterfilling_capacity,
@@ -144,39 +143,64 @@ def _one_based(perm) -> list[int]:
     return [int(i) + 1 for i in perm]
 
 
-def _json_value(obj, newline: str) -> str:
-    """obj as json.dumps(obj, indent=2) writes it where its lines start with newline."""
+def _json_write(obj, newline: str, parts: list) -> None:
+    """Append obj to parts as json.dumps(obj, indent=2) writes it where its lines
+    start with newline.
+
+    A dict with str keys, a list or a tuple is written item by item; the loop
+    over its items appends the text of an exact finite float, int or str
+    itself and recurses only into the other items.
+    """
+    append = parts.append
     kind = type(obj)
-    if kind is float and obj - obj == 0.0:  # finite
-        return float.__repr__(obj)
-    if kind is str:
-        return _json_str(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    inner = newline + "  "
     if kind is list or kind is tuple:
-        if not obj:
-            return "[]"
-        items = [_json_value(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if kind is dict and all(type(k) is str for k in obj):
-        if not obj:
-            return "{}"
-        items = [_json_str(k) + ": " + _json_value(v, inner) for k, v in obj.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    # bool, None, NaN, infinities, subclasses such as np.float64, other keys
-    return json.dumps(obj, indent=2).replace("\n", newline)
+        keys, values = None, obj
+    elif kind is dict and all(type(k) is str for k in obj):
+        keys, values = [_json_str(k) + ": " for k in obj], obj.values()
+    elif kind is float and obj - obj == 0.0:  # finite
+        return append(float.__repr__(obj))
+    elif kind is int:
+        return append(int.__repr__(obj))
+    elif kind is str:
+        return append(_json_str(obj))
+    else:  # bool, None, NaN, infinities, subclasses such as np.float64, other keys
+        return append(json.dumps(obj, indent=2).replace("\n", newline))
+    if not obj:
+        return append("[]" if keys is None else "{}")
+    inner = newline + "  "
+    separator = "," + inner
+    append("[" if keys is None else "{")
+    i = 0
+    for value in values:
+        append(separator if i else inner)
+        if keys is not None:
+            append(keys[i])
+        i += 1
+        kind = type(value)
+        if kind is float and value - value == 0.0:
+            append(float.__repr__(value))
+        elif kind is int:
+            append(int.__repr__(value))
+        elif kind is str:
+            append(_json_str(value))
+        else:
+            _json_write(value, inner, parts)
+    append(newline + ("]" if keys is None else "}"))
 
 
 def _json_text(report) -> str:
     """The report as json.dumps(report, indent=2) + "\n" writes it, byte for byte.
 
     With indent set, json.dumps cannot use its C encoder; this writer handles
-    the exact float, int, str, dict, list and tuple that reports are made of
-    and hands every other value to json.dumps, which also raises its TypeError.
-    JSON strings hold no raw newline, so re-indenting json.dumps text is safe.
+    the exact float, int, str, dict, list and tuple that reports are made of,
+    appends every piece of text to one list and joins it once. It hands every
+    other value to json.dumps, which also raises its TypeError. JSON strings
+    hold no raw newline, so re-indenting json.dumps text is safe.
     """
-    return _json_value(report, "\n") + "\n"
+    parts = []
+    _json_write(report, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _write_text(text: str, out_path: str | None) -> None:
@@ -229,18 +253,16 @@ def cmd_rates(args) -> int:
     sic = mmse_sic_plan(ch, decode_order=order)
     par = if_rates(ch, a)
     sif = successive_if_rates(ch, a)
-    allocations = []
-    for tri in pseudo_triangularize(a):
-        plan = allocate_rates(ch, a, tri.permutation)
-        allocations.append(
-            {
-                "permutation": _one_based(plan.permutation),
-                "stream_rates": list(plan.stream_rates),
-                "monotone_feasible": plan.monotone_feasible,
-                "sum_rate": plan.sum_rate,
-                "sum_rate_gap": plan.sum_rate_gap,
-            }
-        )
+    allocations = [
+        {
+            "permutation": _one_based(plan.permutation),
+            "stream_rates": list(plan.stream_rates),
+            "monotone_feasible": plan.monotone_feasible,
+            "sum_rate": plan.sum_rate,
+            "sum_rate_gap": plan.sum_rate_gap,
+        }
+        for plan in feasible_allocations(ch, a)
+    ]
     results = {
         "capacity": cap,
         "white_input_capacity": cwi,

@@ -437,6 +437,28 @@ def is_kz_reduced(basis, tol: float = 1e-9) -> bool:
 # exhaustive integer-matrix optimizer (correctness oracle)
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _sign_representatives(m: int, bound: int):
+    """(reps, as_float, frob, columns): the sign representatives of [-bound, bound]^m.
+
+    reps are the nonzero vectors whose first nonzero entry is positive, in
+    itertools.product order, as tuples; as_float holds them as float rows,
+    frob their squared norms and columns the int64 columns of the stack.
+    Built once per (m, bound), so at most MAX_BRUTE_DIM * MAX_BRUTE_BOUND
+    tables; the arrays are read-only.
+    """
+    reps = tuple(
+        v
+        for v in itertools.product(range(-bound, bound + 1), repeat=m)
+        if any(v) and next(x for x in v if x != 0) > 0
+    )
+    cand = np.array(reps, dtype=np.int64)
+    as_float, frob = cand.astype(float), np.sum(cand * cand, axis=1)
+    for table in (cand, as_float, frob):  # cand for the views in cand.T
+        table.setflags(write=False)
+    return reps, as_float, frob, tuple(cand.T)
+
+
 def brute_force_min_max(g, entry_bound: int, objective: str = "successive_if"):
     """Minimize a Cholesky-diagonal objective over bounded integer matrices.
 
@@ -469,15 +491,8 @@ def brute_force_min_max(g, entry_bound: int, objective: str = "successive_if"):
         raise ValueError(f"entry_bound must be in [1, {MAX_BRUTE_BOUND}]")
     if objective not in ("successive_if", "standard_if"):
         raise ValueError(f"unknown objective {objective!r}")
-    b = int(entry_bound)
-
-    reps = [
-        v
-        for v in itertools.product(range(-b, b + 1), repeat=m)
-        if any(v) and next(x for x in v if x != 0) > 0
-    ]
-    cand = np.array(reps, dtype=np.int64)
-    vecs = cand.astype(float) @ g  # row i = a_i^T G
+    reps, cand_float, frob, c = _sign_representatives(m, int(entry_bound))
+    vecs = cand_float @ g  # row i = a_i^T G
     norms_sq = np.sum(vecs * vecs, axis=1)
     gram = g @ g.T
     successive = objective == "successive_if"
@@ -488,14 +503,11 @@ def brute_force_min_max(g, entry_bound: int, objective: str = "successive_if"):
             return float(np.max(np.diag(l) ** 2))
         return float(np.max(np.sum(l * l, axis=1)))
 
-    frob = np.sum(cand * cand, axis=1)
     least = chol_value(np.eye(m))  # A = I is always feasible and seeds the bound
     kept = []  # (prefix, indices, values) of last-level candidates tied with least
 
     def ceiling(value: float) -> float:
         return value + _TIE * max(1.0, value)
-
-    c = list(cand.T)
 
     def independent(chosen: list) -> np.ndarray:
         """Exact mask of the candidates independent of the chosen rows (M <= 3)."""

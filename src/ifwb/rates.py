@@ -250,6 +250,17 @@ def _mt(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-1, -2)
 
 
+def _gram(x: np.ndarray) -> np.ndarray:
+    """x x^T for each matrix over the trailing two axes.
+
+    numpy's matmul runs its non-BLAS loop on a stack whose right operand is a
+    transposed view, so a stack is multiplied by a C-contiguous copy of its
+    transpose; a single matrix keeps the view, which BLAS takes as it is.
+    """
+    xt = _mt(x)
+    return x @ (np.ascontiguousarray(xt) if x.ndim > 2 else xt)
+
+
 def _any(flags) -> bool:
     """flags.any(); the 0-d flag of a single matrix is tested directly, because
     a numpy scalar's .any() costs more than the per-matrix check itself."""
@@ -268,12 +279,12 @@ def _effective_noise(ch: ChannelInstance, af: np.ndarray):
     Ktilde to 1e-8 relative, and snr L L^T must match it to 1e-9.
     """
     ag = af @ ch.sic_cholesky
-    ktilde = ch.snr * (ag @ _mt(ag))
+    ktilde = ch.snr * _gram(ag)
     r = np.linalg.qr(_mt(ag), mode="r")
     l = _mt(r * _diagonal_signs(r)[..., None])
     b = af @ ch.mmse_equalizer
     mismatch = b @ ch.H - af
-    direct = ch.snr * (mismatch @ _mt(mismatch)) + b @ _mt(b)
+    direct = ch.snr * _gram(mismatch) + _gram(b)
     scale = np.maximum(np.abs(ktilde).max(axis=(-2, -1)), 1e-300)
     if _any(np.abs(direct - ktilde).max(axis=(-2, -1)) > 1e-8 * scale):
         raise IfwbError("filter-algebra and inversion-lemma covariances disagree")
@@ -456,6 +467,40 @@ class AllocationPlan:
     sum_rate_gap: float  # log2 |det A|
 
 
+def _allocation_plans(ch: ChannelInstance, a: np.ndarray, perms) -> list[AllocationPlan]:
+    """allocate_rates's plans for perms, for a validated full-rank int64 A of
+    which every permutation in perms is feasible.
+
+    The per-step rates and the monotone flag depend on A alone, so they are
+    computed once for all of perms.
+    """
+    m = ch.num_streams
+    model = if_effective_model(ch, a)
+    diag = np.diag(model.L)
+    per_step = tuple(float(-np.log2(d)) for d in diag)
+    diag_sq = diag**2
+    is_identity = np.array_equal(a, np.eye(m, dtype=np.int64))
+    monotone = bool(np.all(diag_sq[:-1] <= diag_sq[1:] * (1.0 + 1e-12)))
+    feasible = monotone or is_identity
+    sym = max(0.0, min(per_step))
+    plans = []
+    for perm in perms:
+        if feasible:
+            stream_rates = tuple(per_step[perm.index(s)] for s in range(m))
+            sum_rate = float(sum(stream_rates))
+        else:
+            stream_rates = (sym,) * m
+            sum_rate = float(m * sym)
+        plans.append(AllocationPlan(
+            permutation=perm,
+            stream_rates=stream_rates,
+            monotone_feasible=feasible,
+            sum_rate=sum_rate,
+            sum_rate_gap=model.det_gap,
+        ))
+    return plans
+
+
 def allocate_rates(ch: ChannelInstance, a, permutation) -> AllocationPlan:
     """Per-stream rate allocation for a feasible permutation.
 
@@ -472,27 +517,17 @@ def allocate_rates(ch: ChannelInstance, a, permutation) -> AllocationPlan:
     _guard_pseudo_tri_dim(a.shape[0])
     if len(perm) != a.shape[0] or not _is_feasible(a, perm):
         raise InfeasiblePermutation(f"permutation {perm} is not feasible for this A")
-    model = if_effective_model(ch, a)
-    diag = np.diag(model.L)
-    per_step = tuple(float(-np.log2(d)) for d in diag)
-    diag_sq = diag**2
-    is_identity = np.array_equal(a, np.eye(m, dtype=np.int64))
-    monotone = bool(np.all(diag_sq[:-1] <= diag_sq[1:] * (1.0 + 1e-12)))
-    feasible = monotone or is_identity
-    if feasible:
-        stream_rates = tuple(per_step[perm.index(s)] for s in range(m))
-        sum_rate = float(sum(stream_rates))
-    else:
-        sym = max(0.0, min(per_step))
-        stream_rates = (sym,) * m
-        sum_rate = float(m * sym)
-    return AllocationPlan(
-        permutation=perm,
-        stream_rates=stream_rates,
-        monotone_feasible=feasible,
-        sum_rate=sum_rate,
-        sum_rate_gap=model.det_gap,
-    )
+    return _allocation_plans(ch, a, [perm])[0]
+
+
+def feasible_allocations(ch: ChannelInstance, a) -> list[AllocationPlan]:
+    """allocate_rates(ch, a, p) for every permutation p of pseudo_triangularize(a), in its order.
+
+    A is validated, and its permutations certified feasible, once, by
+    pseudo_triangularize.
+    """
+    a = as_integer_matrix(a)
+    return _allocation_plans(ch, a, [tri.permutation for tri in pseudo_triangularize(a)])
 
 
 # ---------------------------------------------------------------------------

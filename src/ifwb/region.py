@@ -12,11 +12,18 @@ extraction, so enumeration is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .errors import DimensionTooLarge, IfwbError, WrongDimension
-from .rates import ChannelInstance, _effective_noise, mmse_sic_plan, white_input_capacity
+from .rates import (
+    ChannelInstance,
+    _effective_noise,
+    _read_only,
+    mmse_sic_plan,
+    white_input_capacity,
+)
 
 MAX_COEFF_BOUND = 5
 _DEDUP_TOL = 1e-9
@@ -95,6 +102,16 @@ def _class_representatives(bound: int) -> np.ndarray:
     return np.concatenate([rows[pairs].transpose(1, 0, 2), np.eye(2, dtype=np.int64)[None]])
 
 
+@cache
+def _scan_table(bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonsingular matrices of _class_representatives(bound), the identity
+    still last, as int64 and as float, and the mask of their nonzero first-row
+    entries. Built once per bound, so at most MAX_COEFF_BOUND tables; read-only."""
+    a = _class_representatives(bound)
+    a = a[a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0] != 0]
+    return _read_only(a), _read_only(a.astype(float)), _read_only(a[:, 0, :] != 0)
+
+
 def _scan_box(ch: ChannelInstance, bound: int):
     """Monotone-feasible successive-IF plans for every full-rank A in the box.
 
@@ -109,13 +126,12 @@ def _scan_box(ch: ChannelInstance, bound: int):
     _PERMUTATIONS and the stream rates clamped at zero, ordered by A, then by
     permutation.
     """
-    a = _class_representatives(bound)
-    a = a[a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0] != 0]
-    _, l, _ = _effective_noise(ch, a.astype(float))
+    a, af, first_row_nonzero = _scan_table(bound)
+    _, l, _ = _effective_noise(ch, af)
     diag = np.diagonal(l, axis1=1, axis2=2)
-    monotone = diag[:, 0] ** 2 <= diag[:, 1] ** 2 * (1.0 + 1e-12)
-    identity = np.all(a == np.eye(2, dtype=np.int64), axis=(1, 2))
-    index, perm = np.nonzero((monotone | identity)[:, None] & (a[:, 0, :] != 0))
+    plan = diag[:, 0] ** 2 <= diag[:, 1] ** 2 * (1.0 + 1e-12)  # monotone
+    plan[-1] = True  # the identity, last in the table, is plain SIC
+    index, perm = np.nonzero(plan[:, None] & first_row_nonzero)
     per_step = -np.log2(diag)
     rates = np.stack([per_step, per_step[:, ::-1]], axis=1)[index, perm]
     return a[index], perm, np.where(rates > 0.0, rates, 0.0)

@@ -181,7 +181,9 @@ def _run_chunks(cfg: SimConfig, noise_scale: float, model, decode, record=None) 
 
     Each chunk's symbol indices come from _index_draw and its noise from
     _noise_generator's generator, so the chunks reproduce one whole-run draw
-    of the indices and then of the noise exactly. The chunk arrays are
+    of the indices and then of the noise exactly. With noise_scale 0 no noise
+    is drawn and the generator is not placed: noise scaled by 0 would leave
+    the received signal unchanged. The chunk arrays are
     allocated once per run, for min(CHUNK_TRIALS, trials) trials; a short
     last chunk uses contiguous views at their start. Every elementwise step
     and product writes into them with ``out=``, the same operations on the
@@ -199,7 +201,7 @@ def _run_chunks(cfg: SimConfig, noise_scale: float, model, decode, record=None) 
         raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale}")
     trials, m, n, q = cfg.trials, cfg.ch.num_streams, cfg.ch.num_receive, cfg.pam_points
     draw = _index_draw(cfg)
-    noise_rng = _noise_generator(cfg)
+    noise_rng = _noise_generator(cfg) if noise_scale else None
     c = cfg.symbol_scale
     h_t = cfg.ch.H.T
     a = cfg.A.astype(float)
@@ -220,8 +222,9 @@ def _run_chunks(cfg: SimConfig, noise_scale: float, model, decode, record=None) 
         np.multiply(draw(t), 2.0, out=odd)
         np.subtract(odd, q - 1, out=odd)  # exact odd integers, trials x M
         np.matmul(np.multiply(odd, c, out=c_odd), h_t, out=y)
-        noise_rng.standard_normal(out=noise)
-        np.add(y, np.multiply(noise, noise_scale, out=noise), out=y)
+        if noise_rng is not None:
+            noise_rng.standard_normal(out=noise)
+            np.add(y, np.multiply(noise, noise_scale, out=noise), out=y)
         np.matmul(model.B, y.T, out=y_eff)
         decode(y, y_eff, v_int)
         np.matmul(a, odd.T, out=v_true)  # exact small integers

@@ -465,10 +465,33 @@ _JSON_VALUES = st.recursive(
 )
 
 
+def _nested(levels):
+    """levels containers deep, alternating lists and dicts, with scalars beside each."""
+    value = 1.5
+    for i in range(levels):
+        value = [i, value, "x"] if i % 2 else {"i": i, "v": value, "f": i / 3}
+    return value
+
+
 class TestJsonWriter:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(value=_JSON_VALUES)
     def test_matches_json_dumps(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            pytest.param(_nested(200), id="200-levels"),
+            pytest.param([i / 7 if i % 3 else i for i in range(10**4)], id="10k-items"),
+            pytest.param([1, True, 2, None, 3, float("nan"), 4, np.float64(0.1), -0.0,
+                          float("-inf"), 5, False, "s", [True, None], 6], id="mixed-list"),
+            pytest.param({"a": 1, "b": True, "c": None, "d": float("nan"), "e": np.float64(2.5),
+                          "f": [1, False, np.float64(-1e300)], "g": float("inf"), "h": 7},
+                         id="mixed-dict"),
+        ],
+    )
+    def test_matches_json_dumps_beyond_the_strategy(self, value):
         assert _json_text(value) == json.dumps(value, indent=2) + "\n"
 
     @pytest.mark.parametrize("value", [np.int64(3), {1, 2}, [1.0, {"a": np.int64(3)}], {"s": {1}}])

@@ -6,6 +6,7 @@ import pytest
 from conftest import conditioned_channel
 from ifwb.errors import DegenerateBasis, DimensionTooLarge
 from ifwb.lattice import (
+    _sign_representatives,
     brute_force_min_max,
     int_det,
     is_kz_reduced,
@@ -303,6 +304,18 @@ def _objectives(g, a):
 
 
 class TestBruteForceMinMax:
+    @pytest.mark.parametrize("m, bound", [(1, 5), (2, 3), (3, 2)])
+    def test_sign_table_is_built_once_and_read_only(self, m, bound):
+        reps, as_float, frob, columns = _sign_representatives(m, bound)
+        assert _sign_representatives(m, bound)[1] is as_float
+        box = itertools.product(range(-bound, bound + 1), repeat=m)
+        assert reps == tuple(v for v in box if any(v) and next(x for x in v if x) > 0)
+        cand = np.array(reps, dtype=np.int64)
+        np.testing.assert_array_equal(as_float, cand)
+        np.testing.assert_array_equal(frob, np.sum(cand * cand, axis=1))
+        np.testing.assert_array_equal(np.stack(columns), cand.T)
+        assert not any(t.flags.writeable for t in (as_float, frob, *columns))
+
     def test_diagonal_case(self):
         snr = 15.0
         g = np.eye(2) / np.sqrt(1.0 + snr)  # from H = I

@@ -15,6 +15,7 @@ from ifwb.rates import (
     _is_feasible,
     allocate_rates,
     as_integer_matrix,
+    feasible_allocations,
     gdfe_filters,
     if_effective_model,
     if_rates,
@@ -513,6 +514,26 @@ class TestAllocateRates:
                 assert plan.stream_rates[0] >= 0.0
                 return
         pytest.skip("no non-monotone instance drawn")
+
+    def test_feasible_allocations_are_the_per_permutation_plans(self, monkeypatch):
+        """One call gives allocate_rates's plan for every permutation of
+        pseudo_triangularize, in its order; A's determinant and leading minors
+        are computed only by pseudo_triangularize, at most 2^M of them."""
+        rng = np.random.default_rng(42)
+        feasible = set()
+        for i in range(60):
+            ch = random_channel(rng, max_dim=4)
+            m = ch.num_streams
+            a = random_full_rank_int(rng, m) if i else np.eye(m, dtype=np.int64)
+            want = [allocate_rates(ch, a, tri.permutation) for tri in pseudo_triangularize(a)]
+            dets = []
+            with monkeypatch.context() as patch:
+                patch.setattr(rates_module, "int_det", lambda x: dets.append(x) or int_det(x))
+                got = feasible_allocations(ch, a)
+            assert got == want
+            assert len(dets) <= 2**m
+            feasible.update(plan.monotone_feasible for plan in got)
+        assert feasible == {True, False}
 
 
 class TestOptimalA:

@@ -11,8 +11,15 @@ from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from conftest import conditioned_channel
-from ifwb.rates import optimal_a, successive_if_rates, white_input_capacity
-from ifwb.region import enumerate_achievable_points, pentagon_contains
+from ifwb.errors import IfwbError
+from ifwb.rates import (
+    ChannelInstance,
+    _effective_noise,
+    optimal_a,
+    successive_if_rates,
+    white_input_capacity,
+)
+from ifwb.region import _class_representatives, enumerate_achievable_points, pentagon_contains
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -42,3 +49,27 @@ def test_kz_rates_telescope_to_white_input_capacity(ch):
     sif = successive_if_rates(ch, optimal_a(ch, "kz_exact"))
     assert sif.det_gap == 0.0
     assert abs(sif.sum_rate - white_input_capacity(ch)) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(1, 3), snr_db=st.floats(0.0, 90.0), seed=st.integers(0, 2**32 - 1))
+def test_stacked_effective_noise_matches_single_matrix_calls(n, snr_db, seed):
+    """Each matrix of a stack gets the Ktilde, L and B bits of a call on it
+    alone, on the region scan's bound-3 stack of two-stream channels."""
+    ch = ChannelInstance(np.random.default_rng(seed).standard_normal((n, 2)), 10.0 ** (snr_db / 10.0))
+    a = _class_representatives(3)
+    stack = a[a[:, 0, 0] * a[:, 1, 1] != a[:, 0, 1] * a[:, 1, 0]].astype(float)
+
+    def outcome(af):
+        try:
+            return _effective_noise(ch, af)
+        except IfwbError as exc:
+            return str(exc)
+
+    singles = [outcome(af) for af in stack]
+    stacked = outcome(stack)
+    if isinstance(stacked, str):
+        assert stacked in singles
+        return
+    for i, single in enumerate(singles):
+        assert [x[i].tobytes() for x in stacked] == [x.tobytes() for x in single]

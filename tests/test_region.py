@@ -19,6 +19,7 @@ from ifwb.region import (
     _class_representatives,
     _kept_positions,
     _scan_box,
+    _scan_table,
     capacity_polytope_2user,
     enumerate_achievable_points,
     pentagon_contains,
@@ -278,6 +279,17 @@ class TestRowSignClasses:
         reps = _class_representatives(bound)
         reps = reps[reps[:, 0, 0] * reps[:, 1, 1] - reps[:, 0, 1] * reps[:, 1, 0] != 0]
         np.testing.assert_array_equal(stack, reps.astype(float))
+
+    @pytest.mark.parametrize("bound", [1, 3, 5])
+    def test_scan_table_is_built_once_and_read_only(self, bound):
+        a, af, first_row_nonzero = _scan_table(bound)
+        assert _scan_table(bound)[0] is a
+        reps = _class_representatives(bound)
+        nonsingular = reps[:, 0, 0] * reps[:, 1, 1] != reps[:, 0, 1] * reps[:, 1, 0]
+        np.testing.assert_array_equal(a, reps[nonsingular])
+        np.testing.assert_array_equal(af, a.astype(float))
+        np.testing.assert_array_equal(first_row_nonzero, a[:, 0, :] != 0)
+        assert not any(t.flags.writeable for t in (a, af, first_row_nonzero))
 
     def test_sign_flips_change_no_rate_or_check(self):
         """The premise of the scan: D A gives the same diagonal of L bit for

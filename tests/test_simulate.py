@@ -389,6 +389,21 @@ class TestChunkedMatchesMonolithic:
             cfg = dataclasses.replace(cfg, trials=trials)
             _assert_matches_reference(run, cfg, noise_scale, reference)
 
+    @pytest.mark.parametrize("run, reference", _DECODERS)
+    @pytest.mark.parametrize("pam", [4, 6])
+    def test_noiseless_run_draws_no_noise(self, monkeypatch, run, reference, pam):
+        """noise_scale 0 never places the noise generator, and decides as the
+        reference that draws the noise and adds it times 0."""
+
+        def placed(cfg):
+            raise AssertionError("the noise generator was placed")
+
+        monkeypatch.setattr(simulate, "_noise_generator", placed)
+        cfg = dataclasses.replace(_oracle_cfg(3, pam, seed=pam), trials=CHUNK_TRIALS + 3)
+        _assert_matches_reference(run, cfg, 0.0, reference)
+        with pytest.raises(AssertionError, match="noise generator was placed"):
+            run(cfg, 1.0)
+
 
 class TestChunkSizeInvariance:
     """CHUNK_TRIALS changes how a run is split, never what it decides."""
