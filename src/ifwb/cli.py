@@ -225,27 +225,20 @@ def _report(ch: ChannelInstance, snr_db: float, results: dict, residuals: dict) 
     }
 
 
-def _resolve_a(ch: ChannelInstance, args) -> np.ndarray:
-    if getattr(args, "a_matrix", None):
-        a = _parse_a_matrix(args.a_matrix)
-        if a.shape[0] != ch.num_streams:
-            raise CliError(
-                f"--a-matrix must be {ch.num_streams}x{ch.num_streams} for this channel"
-            )
-        if int_det(a) == 0:
-            raise SingularA("--a-matrix is singular")
-        return a
-    mode = _MODES[getattr(args, "mode", "kz") or "kz"]
-    return optimal_a(ch, mode, bound=getattr(args, "coeff_bound", None))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_rates(args) -> int:
     ch, snr_db = _load_channel(args)
-    a = _resolve_a(ch, args)
+    if args.a_matrix:
+        a = _parse_a_matrix(args.a_matrix)
+        if a.shape[0] != ch.num_streams:
+            raise CliError(f"--a-matrix must be {ch.num_streams}x{ch.num_streams} for this channel")
+        if int_det(a) == 0:
+            raise SingularA("--a-matrix is singular")
+    else:
+        a = optimal_a(ch, _MODES[args.mode], bound=args.coeff_bound)
     order = _parse_order(args.order, ch.num_streams) if args.order else None
 
     cap, _ = waterfilling_capacity(ch)
@@ -299,7 +292,7 @@ def cmd_rates(args) -> int:
 
 def cmd_optimize_a(args) -> int:
     ch, snr_db = _load_channel(args)
-    mode = _MODES[args.mode or "kz"]
+    mode = _MODES[args.mode]
     a = optimal_a(ch, mode, bound=args.coeff_bound)
     results = {
         "mode": mode,
@@ -413,7 +406,7 @@ def cmd_sweep(args) -> int:
         if s not in SCHEMES:
             raise CliError(f"unknown scheme {s!r}; choose from {', '.join(SCHEMES)}")
     h = _read_channel(args)
-    mode = _MODES[args.mode or "kz"]
+    mode = _MODES[args.mode]
 
     lines = ["snr_db,scheme,symmetric_rate,sum_rate"]
     for snr_db in snr_list:

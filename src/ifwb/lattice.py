@@ -249,9 +249,13 @@ def lll_reduce(basis, delta: float = 0.75) -> ReductionReport:
     if not 0.25 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0.25, 1], got {delta}")
     original = validate_basis(basis)
-    u = _identity(original.shape[1])
-    _lll_inplace(original.T.tolist(), u, delta)
-    return _make_report(original, u, "lll")
+    return _make_report(original, _lll(original, delta)[1], "lll")
+
+
+def _lll(original: np.ndarray, delta: float):
+    """A validated basis LLL-reduced: its columns, transform and Gram-Schmidt data."""
+    cols, u = original.T.tolist(), _identity(original.shape[1])
+    return (cols, u, *_lll_inplace(cols, u, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +389,8 @@ def kz_reduce(basis) -> ReductionReport:
     if b.shape[1] > MAX_ENUM_DIM:
         raise DimensionTooLarge(f"exact KZ guarded to dimension {MAX_ENUM_DIM}")
     original = validate_basis(b)
-    m = original.shape[1]
-    cols = original.T.tolist()
-    u = _identity(m)
-    mu, nsq = _lll_inplace(cols, u, 0.99)
+    cols, u, mu, nsq = _lll(original, 0.99)
+    m = len(cols)
     for k in range(m - 1):
         z = _shortest(mu, nsq, u, k)
         if any(z[1:]):
@@ -408,9 +410,7 @@ def kz_approx_successive_lll(basis) -> ReductionReport:
     dimension guard (nothing is enumerated); KZ optimality is not guaranteed.
     """
     original = validate_basis(basis)
-    u = _identity(original.shape[1])
-    _lll_inplace(original.T.tolist(), u, 0.99)
-    return _make_report(original, u, "kz_successive_lll")
+    return _make_report(original, _lll(original, 0.99)[1], "kz_successive_lll")
 
 
 def is_kz_reduced(basis, tol: float = 1e-9) -> bool:

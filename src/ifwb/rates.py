@@ -388,32 +388,19 @@ class PseudoTriangularization:
     Atilde: np.ndarray  # Atilde[:, permutation] is upper triangular
 
 
-def _guard_pseudo_tri_dim(m: int) -> None:
-    if m > MAX_PSEUDO_TRI_DIM:
-        raise DimensionTooLarge(
-            f"pseudo-triangularization scans {m}! permutations; guarded to {MAX_PSEUDO_TRI_DIM}"
-        )
-
-
-def _is_feasible(a: np.ndarray, perm: tuple) -> bool:
-    """True iff elimination without row swaps or scaling realizes perm.
-
-    That holds iff every leading principal minor of the column-permuted
-    matrix is nonzero; minors are computed in exact integer arithmetic.
-    """
-    cols = a[:, list(perm)]
-    return all(int_det(cols[:k, :k]) != 0 for k in range(1, len(perm) + 1))
-
-
 def _feasible_permutations(a: np.ndarray) -> list[tuple]:
     """All permutations realizable by elimination without row swaps or scaling.
 
     That needs det A[:k, S] != 0 for the set S of the first k columns, for
-    every k; each of the at most 2^M - 1 sets' minors is computed once.
-    Prefixes grow in increasing column order (itertools.permutations order).
+    every k; each of the at most 2^M - 1 sets' minors is computed once, in
+    integer arithmetic. Prefixes grow in increasing column order
+    (itertools.permutations order). A is a validated full-rank int64 matrix.
     """
     m = a.shape[0]
-    _guard_pseudo_tri_dim(m)
+    if m > MAX_PSEUDO_TRI_DIM:
+        raise DimensionTooLarge(
+            f"pseudo-triangularization scans {m}! permutations; guarded to {MAX_PSEUDO_TRI_DIM}"
+        )
 
     @cache
     def nonzero(cols: frozenset) -> bool:
@@ -423,36 +410,30 @@ def _feasible_permutations(a: np.ndarray) -> list[tuple]:
     for _ in range(m):
         prefixes = [p + (c,) for p in prefixes for c in range(m)
                     if c not in p and nonzero(frozenset(p + (c,)))]
+    if not prefixes:
+        raise IfwbError("full-rank matrix produced no feasible permutation")
     return prefixes
 
 
 def pseudo_triangularize(a) -> list[PseudoTriangularization]:
-    """All column permutations under which A becomes upper triangular.
-
-    Feasibility of a permutation is decided exactly: Gaussian elimination
-    without row swaps or scaling succeeds iff every leading principal minor
-    of the column-permuted matrix is nonzero (checked in integer
-    arithmetic). At least one permutation is always feasible for full-rank A.
-    """
+    """All column permutations under which A becomes upper triangular (those of
+    _feasible_permutations), each with the filter of a float elimination, which
+    is checked to triangularize A."""
     a, _ = _validate_full_rank(a)
     m = a.shape[0]
     results = []
     for perm in _feasible_permutations(a):
-        cols = a[:, perm]
-        work = cols.astype(float)
+        work = a[:, perm].astype(float)
         r = np.eye(m)
         for j in range(m - 1):
-            for i in range(j + 1, m):
-                factor = work[i, j] / work[j, j]
-                work[i, :] -= factor * work[j, :]
-                r[i, :] -= factor * r[j, :]
+            factors = work[j + 1:, j] / work[j, j]
+            work[j + 1:] -= np.outer(factors, work[j])
+            r[j + 1:] -= np.outer(factors, r[j])
         atilde = r @ a.astype(float)
         strict_lower = np.tril(atilde[:, perm], -1)
         if np.abs(strict_lower).max() > 1e-10 * max(1.0, np.abs(atilde).max()):
             raise IfwbError("elimination failed to triangularize a feasible permutation")
         results.append(PseudoTriangularization(permutation=perm, R=r, Atilde=atilde))
-    if not results:
-        raise IfwbError("full-rank matrix produced no feasible permutation")
     return results
 
 
@@ -467,6 +448,12 @@ class AllocationPlan:
     sum_rate_gap: float  # log2 |det A|
 
 
+def _monotone(diag: np.ndarray) -> np.ndarray:
+    """Whether l_11^2 <= ... <= l_MM^2, each step to 1e-12 relative, over the
+    last axis of diag: one Cholesky diagonal or a stack of them."""
+    return np.all(diag[..., :-1] ** 2 <= diag[..., 1:] ** 2 * (1.0 + 1e-12), axis=-1)
+
+
 def _allocation_plans(ch: ChannelInstance, a: np.ndarray, perms) -> list[AllocationPlan]:
     """allocate_rates's plans for perms, for a validated full-rank int64 A of
     which every permutation in perms is feasible.
@@ -478,24 +465,17 @@ def _allocation_plans(ch: ChannelInstance, a: np.ndarray, perms) -> list[Allocat
     model = if_effective_model(ch, a)
     diag = np.diag(model.L)
     per_step = tuple(float(-np.log2(d)) for d in diag)
-    diag_sq = diag**2
-    is_identity = np.array_equal(a, np.eye(m, dtype=np.int64))
-    monotone = bool(np.all(diag_sq[:-1] <= diag_sq[1:] * (1.0 + 1e-12)))
-    feasible = monotone or is_identity
+    # the one exception to the monotone rule: A = I is plain SIC, always a plan
+    feasible = bool(_monotone(diag)) or np.array_equal(a, np.eye(m, dtype=np.int64))
     sym = max(0.0, min(per_step))
     plans = []
     for perm in perms:
-        if feasible:
-            stream_rates = tuple(per_step[perm.index(s)] for s in range(m))
-            sum_rate = float(sum(stream_rates))
-        else:
-            stream_rates = (sym,) * m
-            sum_rate = float(m * sym)
+        rates = tuple(per_step[perm.index(s)] for s in range(m)) if feasible else (sym,) * m
         plans.append(AllocationPlan(
             permutation=perm,
-            stream_rates=stream_rates,
+            stream_rates=rates,
             monotone_feasible=feasible,
-            sum_rate=sum_rate,
+            sum_rate=float(sum(rates)) if feasible else float(m * sym),
             sum_rate_gap=model.det_gap,
         ))
     return plans
@@ -506,16 +486,15 @@ def allocate_rates(ch: ChannelInstance, a, permutation) -> AllocationPlan:
 
     Stream m is assigned the per-step rate at position perm^{-1}(m). The plan
     is marked feasible when the squared Cholesky diagonal is nondecreasing
-    (always, for A = I, where the allocation degenerates to plain SIC); an
-    infeasible plan falls back to the conservative symmetric allocation.
+    (always, for A = I, which is plain SIC); an infeasible plan falls back to
+    the conservative symmetric allocation.
     """
     a, _ = _validate_full_rank(a)
     m = ch.num_streams
     perm = tuple(int(i) for i in permutation)
     if sorted(perm) != list(range(m)):
         raise ValueError(f"permutation must be a permutation of 0..{m - 1}")
-    _guard_pseudo_tri_dim(a.shape[0])
-    if len(perm) != a.shape[0] or not _is_feasible(a, perm):
+    if perm not in _feasible_permutations(a):
         raise InfeasiblePermutation(f"permutation {perm} is not feasible for this A")
     return _allocation_plans(ch, a, [perm])[0]
 
@@ -523,11 +502,10 @@ def allocate_rates(ch: ChannelInstance, a, permutation) -> AllocationPlan:
 def feasible_allocations(ch: ChannelInstance, a) -> list[AllocationPlan]:
     """allocate_rates(ch, a, p) for every permutation p of pseudo_triangularize(a), in its order.
 
-    A is validated, and its permutations certified feasible, once, by
-    pseudo_triangularize.
+    A is validated, and its feasible permutations found, once.
     """
-    a = as_integer_matrix(a)
-    return _allocation_plans(ch, a, [tri.permutation for tri in pseudo_triangularize(a)])
+    a, _ = _validate_full_rank(a)
+    return _allocation_plans(ch, a, _feasible_permutations(a))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ extraction, so enumeration is deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache
 
@@ -20,6 +21,7 @@ from .errors import DimensionTooLarge, IfwbError, WrongDimension
 from .rates import (
     ChannelInstance,
     _effective_noise,
+    _monotone,
     _read_only,
     mmse_sic_plan,
     white_input_capacity,
@@ -74,7 +76,11 @@ def capacity_polytope_2user(ch: ChannelInstance):
     The corner points coincide with the MMSE-SIC rates under the two decode
     orders.
     """
-    i1, i2, c = _pentagon_constants(ch)
+    return _vertices(*_pentagon_constants(ch))
+
+
+def _vertices(i1, i2, c) -> list:
+    """capacity_polytope_2user's vertices from _pentagon_constants."""
     vertices = []
     for v in [(0.0, 0.0), (i1, 0.0), (i1, c - i1), (c - i2, i2), (0.0, i2)]:
         if not vertices or max(abs(v[0] - vertices[-1][0]), abs(v[1] - vertices[-1][1])) > 1e-12:
@@ -88,25 +94,24 @@ def pentagon_contains(ch: ChannelInstance, rates, slack: float = 1e-9) -> bool:
 
 
 def _class_representatives(bound: int) -> np.ndarray:
-    """One matrix per row-sign class {D A} of the box, then the identity.
+    """One matrix per row-sign class {D A} of the box with no zero row.
 
     The rows lexicographically before (0, 0) are those whose first nonzero
     entry is negative, so each matrix is the smallest of its class, the one
     the sorted deduplication keeps, and the stack is in lexicographic order.
-    The identity, a plan even when not monotone because it is plain SIC,
-    sorts after it. ((side^2 - 1) / 2)^2 + 1 matrices, side = 2 bound + 1.
+    ((side^2 - 1) / 2)^2 matrices, side = 2 bound + 1.
     """
     side = 2 * bound + 1
     rows = (np.indices((side, side), dtype=np.int64).reshape(2, -1).T - bound)[: side * side // 2]
     pairs = np.indices((len(rows),) * 2).reshape(2, -1)
-    return np.concatenate([rows[pairs].transpose(1, 0, 2), np.eye(2, dtype=np.int64)[None]])
+    return rows[pairs].transpose(1, 0, 2)
 
 
 @cache
 def _scan_table(bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonsingular matrices of _class_representatives(bound), the identity
-    still last, as int64 and as float, and the mask of their nonzero first-row
-    entries. Built once per bound, so at most MAX_COEFF_BOUND tables; read-only."""
+    """The nonsingular matrices of _class_representatives(bound), as int64 and
+    as float, and the mask of their nonzero first-row entries. Built once per
+    bound, so at most MAX_COEFF_BOUND tables; read-only."""
     a = _class_representatives(bound)
     a = a[a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0] != 0]
     return _read_only(a), _read_only(a.astype(float)), _read_only(a[:, 0, :] != 0)
@@ -124,14 +129,12 @@ def _scan_box(ch: ChannelInstance, bound: int):
     rates -log2 l_mm. For full-rank 2x2 A, permutation (0, 1) is feasible iff
     a00 != 0 and (1, 0) iff a01 != 0. Returns the matrices, indices into
     _PERMUTATIONS and the stream rates clamped at zero, ordered by A, then by
-    permutation.
+    permutation. A = I needs no exception here: its one plan is a SIC corner.
     """
     a, af, first_row_nonzero = _scan_table(bound)
     _, l, _ = _effective_noise(ch, af)
     diag = np.diagonal(l, axis1=1, axis2=2)
-    plan = diag[:, 0] ** 2 <= diag[:, 1] ** 2 * (1.0 + 1e-12)  # monotone
-    plan[-1] = True  # the identity, last in the table, is plain SIC
-    index, perm = np.nonzero(plan[:, None] & first_row_nonzero)
+    index, perm = np.nonzero(_monotone(diag)[:, None] & first_row_nonzero)
     per_step = -np.log2(diag)
     rates = np.stack([per_step, per_step[:, ::-1]], axis=1)[index, perm]
     return a[index], perm, np.where(rates > 0.0, rates, 0.0)
@@ -159,8 +162,10 @@ def enumerate_achievable_points(ch: ChannelInstance, coeff_bound: int) -> RateRe
 
     Scans every full-rank integer A with entries in [-coeff_bound,
     coeff_bound], keeps allocation plans that are monotone-feasible, adds the
-    two SIC corners, deduplicates rate tuples to 1e-9 and computes the Pareto
-    frontier. Rates are clamped at zero (sending nothing is always allowed).
+    two SIC corners (a scan point within 1e-9 of one in both rates is that
+    corner), deduplicates rate tuples to 1e-9 and computes the Pareto frontier
+    (a point is dominated when another is at least as large in both rates, to
+    1e-9). Rates are clamped at zero (sending nothing is always allowed).
     """
     if ch.num_streams != 2:
         raise DimensionTooLarge("region enumeration is guarded to 2 streams")
@@ -172,34 +177,47 @@ def enumerate_achievable_points(ch: ChannelInstance, coeff_bound: int) -> RateRe
                for order in _PERMUTATIONS]
     matrices, perms, rates = _scan_box(ch, bound)
     all_rates = np.concatenate([corners, rates])
-    outside = ~_inside(_pentagon_constants(ch), all_rates[:, 0], all_rates[:, 1], 1e-9)
+    constants = _pentagon_constants(ch)
+    outside = ~_inside(constants, all_rates[:, 0], all_rates[:, 1], 1e-9)
     if outside.any():
         bad = tuple(all_rates[np.argmax(outside)].tolist())
         raise IfwbError(f"enumerated point {bad} exceeds the capacity pentagon")
 
     # the corners (A = I, permutation = decode order), then the scan; the
-    # lexsort keys give the order of the (rates, source, A, permutation) tuples
+    # lexsort keys give the order of the (rates, A, permutation) tuples
     a = np.concatenate([np.eye(2, dtype=np.int64)[None].repeat(2, 0), matrices])
     perm = np.concatenate([[0, 1], perms])
-    source = np.arange(len(perm)) >= 2  # "sic_corner" sorts before "successive_if"
-    order = np.lexsort((perm, *a.reshape(-1, 4).T[::-1], source, *all_rates.T[::-1]))
+    order = np.lexsort((perm, *a.reshape(-1, 4).T[::-1], *all_rates.T[::-1]))
     r1, r2 = all_rates[order].T.tolist()
+    order = order.tolist()
+    # drop the scan points (order[i] >= 2) that are a corner; 2 _DEDUP_TOL allows for rounding
+    twins = {i for x, y in corners
+             for i in range(bisect_left(r1, x - 2 * _DEDUP_TOL),
+                            bisect_right(r1, x + 2 * _DEDUP_TOL))
+             if abs(r2[i] - y) <= _DEDUP_TOL and abs(r1[i] - x) <= _DEDUP_TOL and order[i] >= 2}
+    for i in sorted(twins, reverse=True):
+        del r1[i], r2[i], order[i]
     keep = _kept_positions(r1, r2)
-    index = order[keep]
+    index = [order[j] for j in keep]
     kept = tuple(
-        RatePoint((r1[j], r2[j]), _SOURCES[s], tuple(map(tuple, m)), _PERMUTATIONS[k])
-        for j, s, m, k in zip(keep, source[index].tolist(), a[index].tolist(), perm[index].tolist())
+        RatePoint((r1[j], r2[j]), _SOURCES[i >= 2], tuple(map(tuple, m)), _PERMUTATIONS[k])
+        for j, i, m, k in zip(keep, index, a[index].tolist(), perm[index].tolist())
     )
 
-    # kept is sorted by rates and has no equal pair, so a point is dominated
-    # iff a later point has a second rate at least as large
+    # kept is sorted by rates, so only the later points (best: their largest R2)
+    # and the earlier ones within _DEDUP_TOL in R1 can dominate a point
     frontier, best = [], -np.inf
-    for p in reversed(kept):
-        if p.rates[1] > best:
-            frontier.append(p)
-            best = p.rates[1]
+    for i in range(len(kept) - 1, -1, -1):
+        x, y = kept[i].rates
+        if y > best:
+            j = i - 1
+            while j >= 0 and x - kept[j].rates[0] <= _DEDUP_TOL < y - kept[j].rates[1]:
+                j -= 1
+            if y - best > _DEDUP_TOL and (j < 0 or x - kept[j].rates[0] > _DEDUP_TOL):
+                frontier.append(kept[i])
+            best = y
     return RateRegion(
         points=kept,
         frontier=tuple(reversed(frontier)),
-        capacity_vertices=tuple(capacity_polytope_2user(ch)),
+        capacity_vertices=tuple(_vertices(*constants)),
     )

@@ -12,7 +12,7 @@ from ifwb.rates import (
     ChannelInstance,
     _effective_noise,
     _feasible_permutations,
-    _is_feasible,
+    _monotone,
     allocate_rates,
     as_integer_matrix,
     feasible_allocations,
@@ -435,6 +435,14 @@ class TestPseudoTriangularize:
             pseudo_triangularize(np.eye(7, dtype=int))
 
 
+def _is_feasible(a: np.ndarray, perm: tuple) -> bool:
+    """True iff elimination without row swaps or scaling realizes perm, that is
+    iff every leading principal minor of the column-permuted matrix is nonzero:
+    the per-permutation reference for _feasible_permutations."""
+    cols = a[:, list(perm)]
+    return all(int_det(cols[:k, :k]) != 0 for k in range(1, len(perm) + 1))
+
+
 class TestFeasiblePermutations:
     def test_matches_per_permutation_leading_minors(self):
         rng = np.random.default_rng(39)
@@ -515,10 +523,19 @@ class TestAllocateRates:
                 return
         pytest.skip("no non-monotone instance drawn")
 
+    def test_monotone_rule_on_one_diagonal_or_a_stack(self):
+        rng = np.random.default_rng(43)
+        diags = np.abs(rng.standard_normal((200, 3))) + 0.1
+        diags[:60] = np.sort(diags[:60], axis=1)
+        diags[40:60, 0] = diags[40:60, 1] * (1.0 + 1e-13)  # decreasing within 1e-12
+        want = [all(d[i] ** 2 <= d[i + 1] ** 2 * (1.0 + 1e-12) for i in range(2)) for d in diags]
+        assert _monotone(diags).tolist() == want == [bool(_monotone(d)) for d in diags]
+        assert all(want[:60]) and not all(want[60:])
+
     def test_feasible_allocations_are_the_per_permutation_plans(self, monkeypatch):
         """One call gives allocate_rates's plan for every permutation of
-        pseudo_triangularize, in its order; A's determinant and leading minors
-        are computed only by pseudo_triangularize, at most 2^M of them."""
+        pseudo_triangularize, in its order; it computes A's determinant and
+        leading minors, at most 2^M of them, and no float elimination."""
         rng = np.random.default_rng(42)
         feasible = set()
         for i in range(60):
@@ -529,6 +546,7 @@ class TestAllocateRates:
             dets = []
             with monkeypatch.context() as patch:
                 patch.setattr(rates_module, "int_det", lambda x: dets.append(x) or int_det(x))
+                patch.setattr(rates_module, "pseudo_triangularize", None)
                 got = feasible_allocations(ch, a)
             assert got == want
             assert len(dets) <= 2**m

@@ -83,9 +83,21 @@ class TestEnumerateAchievablePoints:
         assert _contains_rate_pair(reg.frontier, 3.0028, 0.2887)
 
     def test_sic_corners_present_as_sources(self, region):
-        _, reg = region
-        corners = [p for p in reg.points if p.source == "sic_corner"]
-        assert len(corners) == 2
+        """Each SIC corner is a point labelled as one, with the corner's own
+        rates, also where a scan point ties with it to within 1e-9 but sorts
+        first (about one channel in six)."""
+        rng = np.random.default_rng(2016)
+        channels = [region[0]] + [
+            ChannelInstance(rng.standard_normal((n, 2)), 10.0 ** rng.uniform(0.5, 3.5))
+            for n in (1, 2, 3) * 10
+        ]
+        for ch in channels:
+            reg = enumerate_achievable_points(ch, 3)
+            corners = {p.permutation: p for p in reg.points if p.source == "sic_corner"}
+            assert len(corners) == 2
+            for order, p in corners.items():
+                assert p.A == ((1, 0), (0, 1))
+                assert p.rates == tuple(max(0.0, r) for r in mmse_sic_plan(ch, order).stream_rates)
 
     def test_points_inside_pentagon(self, region):
         ch, reg = region
@@ -109,6 +121,20 @@ class TestEnumerateAchievablePoints:
             assert any(
                 max(abs(rates[i] - c[i]) for i in (0, 1)) <= 1e-9 for c in corner_points
             )
+
+    def test_frontier_drops_points_dominated_within_tolerance(self):
+        """A point 3e-16 right of a SIC corner but 1 bit below it is dominated."""
+        ch = ChannelInstance(np.array([[0.34736176866043106, -2.3378561559560835]]),
+                             10.0 ** (10.67 / 10.0))
+        reg = enumerate_achievable_points(ch, 3)
+        (corner,) = [p for p in reg.points if p.source == "sic_corner" and p.permutation == (1, 0)]
+        c1, c2 = corner.rates
+        below = [p for p in reg.points if 0.0 < p.rates[0] - c1 <= 1e-9 and p.rates[1] < c2 - 0.5]
+        assert below
+        assert corner in reg.frontier and not set(below) & set(reg.frontier)
+        for f in reg.frontier:
+            assert not any(q != f and q.rates[0] - f.rates[0] >= -1e-9
+                           and q.rates[1] - f.rates[1] >= -1e-9 for q in reg.points)
 
     def test_frontier_is_undominated_subset(self, region):
         _, reg = region
@@ -142,14 +168,21 @@ class TestEnumerateAchievablePoints:
 def _reference_region(ch, bound):
     """Per-candidate scan: pseudo-triangularize each full-rank A, allocate per permutation.
 
-    Test oracle for the batched scan; deduplication and frontier by pairwise
-    comparison.
+    Test oracle for the batched scan, each rule by pairwise comparison: a scan
+    point within 1e-9 of a SIC corner in both rates is that corner; of points
+    within 1e-9 of each other in both rates the first in sorted order is kept;
+    and a point is dominated when another is at least as large in both rates,
+    to 1e-9.
     """
-    points = [
+    def near(p, q):
+        return abs(p.rates[0] - q.rates[0]) <= 1e-9 and abs(p.rates[1] - q.rates[1]) <= 1e-9
+
+    corners = [
         RatePoint(tuple(max(0.0, r) for r in mmse_sic_plan(ch, order).stream_rates),
                   "sic_corner", ((1, 0), (0, 1)), order)
         for order in ((0, 1), (1, 0))
     ]
+    scan = []
     for entries in itertools.product(range(-bound, bound + 1), repeat=4):
         a = np.array(entries, dtype=np.int64).reshape(2, 2)
         if int_det(a) == 0:
@@ -158,22 +191,19 @@ def _reference_region(ch, bound):
             plan = allocate_rates(ch, a, tri.permutation)
             if plan.monotone_feasible:
                 rates = tuple(max(0.0, r) for r in plan.stream_rates)
-                points.append(RatePoint(rates, "successive_if", tuple(map(tuple, a.tolist())),
-                                        plan.permutation))
-    assert all(pentagon_contains(ch, p.rates) for p in points)
-    points.sort(key=lambda p: (p.rates, p.source, p.A, p.permutation))
+                scan.append(RatePoint(rates, "successive_if", tuple(map(tuple, a.tolist())),
+                                      plan.permutation))
+    assert all(pentagon_contains(ch, p.rates) for p in corners + scan)
+    points = corners + [p for p in scan if not any(near(p, c) for c in corners)]
+    points.sort(key=lambda p: (p.rates, p.A, p.permutation))
     kept = []
     for p in points:
-        if not any(
-            abs(p.rates[0] - k.rates[0]) <= 1e-9 and abs(p.rates[1] - k.rates[1]) <= 1e-9
-            for k in kept
-        ):
+        if not any(near(p, k) for k in kept):
             kept.append(p)
 
     def dominated(p):
         return any(
-            q is not p and q.rates[0] >= p.rates[0] and q.rates[1] >= p.rates[1]
-            and (q.rates[0] > p.rates[0] or q.rates[1] > p.rates[1])
+            q is not p and p.rates[0] - q.rates[0] <= 1e-9 and p.rates[1] - q.rates[1] <= 1e-9
             for q in kept
         )
 
@@ -187,8 +217,8 @@ def _seeded_channels():
 
 
 # channels where many rate tuples tie exactly: integer entries, parallel
-# columns, and a channel whose A = I plan is not monotone (kept as plain SIC
-# while its row-sign representative -I is not)
+# columns, and a channel whose A = I plan is not monotone (a plan as plain SIC,
+# which the scan leaves to the SIC corner)
 _TIE_CHANNELS = [
     ChannelInstance(np.array([[1.0, 2.0], [3.0, 1.0]]), 100.0),
     ChannelInstance(np.array([[1.0, 1.0], [0.5, 0.5]]), 10.0**1.5),
@@ -214,12 +244,32 @@ class TestBatchedScanMatchesReference:
                 assert g.rates == w.rates
                 assert (g.A, g.permutation, g.source) == (w.A, w.permutation, w.source)
 
-    def test_identity_exception_is_exercised(self):
+    def test_identity_is_left_to_the_corners(self):
+        """Where A = I is not monotone it is still a plan (plain SIC), yet the
+        scan holds no exception for it: neither I nor -I is scanned, and its one
+        plan, order (0, 1), is the (0, 1) SIC corner."""
         ch = _TIE_CHANNELS[-1]
         diag_sq = np.diag(ch.sic_cholesky) ** 2
         assert diag_sq[0] > diag_sq[1]  # A = I is not monotone
+        plan = allocate_rates(ch, np.eye(2, dtype=np.int64), (0, 1))
+        assert plan.monotone_feasible
         scanned = {tuple(map(tuple, a)) for a in _scan_box(ch, 1)[0].tolist()}
-        assert ((1, 0), (0, 1)) in scanned and ((-1, 0), (0, -1)) not in scanned
+        assert ((1, 0), (0, 1)) not in scanned and ((-1, 0), (0, -1)) not in scanned
+        corner = [p for p in enumerate_achievable_points(ch, 1).points if p.permutation == (0, 1)
+                  and p.source == "sic_corner"]
+        assert [p.rates for p in corner] == [plan.stream_rates]
+
+    def test_identity_plan_is_the_sic_corner_bit_for_bit(self):
+        """Why the scan needs no A = I: in a stack, I gets per-step rates equal
+        bit for bit to those of the (0, 1) SIC corner (-10 to 120 dB, H scaled
+        by 1e-3 to 1e3)."""
+        rng = np.random.default_rng(5000)
+        stack = np.concatenate([_scan_table(1)[1], np.eye(2)[None]])
+        for _ in range(300):
+            h = rng.standard_normal((int(rng.integers(1, 4)), 2)) * 10.0 ** rng.uniform(-3, 3)
+            ch = ChannelInstance(h, 10.0 ** rng.uniform(-1.0, 12.0))
+            _, l, _ = _effective_noise(ch, stack)
+            assert (-np.log2(np.diag(l[-1]))).tolist() == list(mmse_sic_plan(ch).rates)
 
     def test_dedup_compares_beyond_last_kept_point(self):
         r1, r2 = [1.0, 1.0 + 5e-10], [5.0, 2.0]  # both kept
@@ -247,18 +297,16 @@ def _canonical(a):
 
 class TestRowSignClasses:
     @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5])
-    def test_one_matrix_per_class_plus_identity(self, bound):
-        stack = _class_representatives(bound)
-        assert stack.shape == ((((2 * bound + 1) ** 2 - 1) // 2) ** 2 + 1, 2, 2)
-        np.testing.assert_array_equal(stack[-1], np.eye(2, dtype=np.int64))
-        reps = stack[:-1]
+    def test_one_matrix_per_class(self, bound):
+        reps = _class_representatives(bound)
+        assert reps.shape == ((((2 * bound + 1) ** 2 - 1) // 2) ** 2, 2, 2)
         np.testing.assert_array_equal(_canonical(reps), reps)
         box = _box(bound)
         box = box[np.all(np.any(box != 0, axis=-1), axis=-1)]  # no zero row
         classes = {tuple(m.ravel()) for m in _canonical(box)}
         assert classes == {tuple(m.ravel()) for m in reps}
         assert len(classes) == len(reps)
-        keys = [tuple(m.ravel()) for m in stack]
+        keys = [tuple(m.ravel()) for m in reps]
         assert keys == sorted(keys)
         # each representative is its class's lexicographically smallest member
         for m in reps[:: max(1, len(reps) // 50)]:
@@ -310,7 +358,7 @@ class TestRowSignClasses:
                     return str(exc)
                 return np.diag(l).tobytes()
 
-            for a in _class_representatives(3)[:-1]:
+            for a in _class_representatives(3):
                 if a[0, 0] * a[1, 1] == a[0, 1] * a[1, 0]:
                     continue
                 want = outcome(a)
