@@ -23,7 +23,6 @@ import numpy as np
 
 from . import __version__
 from .errors import DimensionTooLarge, IfwbError, SingularA, WrongDimension
-from .lattice import int_det
 from .linalg import complex_to_real
 from .rates import (
     ChannelInstance,
@@ -233,13 +232,10 @@ def cmd_rates(args) -> int:
     ch, snr_db = _load_channel(args)
     if args.a_matrix:
         a = _parse_a_matrix(args.a_matrix)
-        if a.shape[0] != ch.num_streams:
-            raise CliError(f"--a-matrix must be {ch.num_streams}x{ch.num_streams} for this channel")
-        if int_det(a) == 0:
-            raise SingularA("--a-matrix is singular")
     else:
         a = optimal_a(ch, _MODES[args.mode], bound=args.coeff_bound)
     order = _parse_order(args.order, ch.num_streams) if args.order else None
+    model = if_effective_model(ch, a)  # the one check of A's size and rank
 
     cap, _ = waterfilling_capacity(ch)
     cwi = white_input_capacity(ch)
@@ -259,8 +255,8 @@ def cmd_rates(args) -> int:
     results = {
         "capacity": cap,
         "white_input_capacity": cwi,
-        "a_matrix": a.tolist(),
-        "a_det": int_det(a),
+        "a_matrix": model.A.tolist(),
+        "a_det": model.det,
         "mmse_sic": {
             "decode_order": _one_based(sic.decode_order),
             "rates": list(sic.rates),
@@ -297,7 +293,7 @@ def cmd_optimize_a(args) -> int:
     results = {
         "mode": mode,
         "a_matrix": a.tolist(),
-        "a_det": int_det(a),
+        "a_det": if_effective_model(ch, a).det,
         "max_step_residual": successive_objective(ch, a),
         "successive_if_per_step": list(successive_if_rates(ch, a).per_step),
     }
@@ -360,14 +356,9 @@ def cmd_simulate(args) -> int:
         h = _channel_matrix(h, him)
         snr_db = float(raw["snr_db"])
         ch = ChannelInstance(h, _snr_linear(snr_db))
-        a = (
-            as_integer_matrix(raw["a_matrix"])
-            if "a_matrix" in raw
-            else optimal_a(ch, "kz_exact")
-        )
         cfg = SimConfig(
             ch=ch,
-            A=a,
+            A=raw["a_matrix"] if "a_matrix" in raw else optimal_a(ch, "kz_exact"),
             pam_points=args.pam if args.pam is not None else raw.get("pam_points", 4),
             trials=args.trials if args.trials is not None else raw["trials"],
             seed=args.seed if args.seed is not None else raw.get("seed", 0),

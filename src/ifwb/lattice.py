@@ -330,11 +330,9 @@ def shortest_vector(basis):
     sign-normalized coeffs (compared lexicographically) is returned.
     """
     original = validate_basis(basis)
-    m = original.shape[1]
-    if m > MAX_ENUM_DIM:
+    if original.shape[1] > MAX_ENUM_DIM:
         raise DimensionTooLarge(f"exact enumeration guarded to dimension {MAX_ENUM_DIM}")
-    u = _identity(m)
-    mu, nsq = _lll_inplace(original.T.tolist(), u, 0.99)
+    _, u, mu, nsq = _lll(original, 0.99)
     z = _shortest(mu, nsq, u, 0)
     coeffs = _matrix([[sum(c * v for c, v in zip(row, z)) for row in zip(*u)]]).ravel()
     length = float(np.linalg.norm(original @ coeffs.astype(float)))
@@ -385,10 +383,9 @@ def kz_reduce(basis) -> ReductionReport:
     coefficients, so an orthogonal basis keeps the transform I. Guarded to
     dimension 10 because every level runs an exact enumeration.
     """
-    b = as_matrix(basis, "basis")
-    if b.shape[1] > MAX_ENUM_DIM:
+    original = validate_basis(basis)
+    if original.shape[1] > MAX_ENUM_DIM:
         raise DimensionTooLarge(f"exact KZ guarded to dimension {MAX_ENUM_DIM}")
-    original = validate_basis(b)
     cols, u, mu, nsq = _lll(original, 0.99)
     m = len(cols)
     for k in range(m - 1):

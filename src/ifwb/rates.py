@@ -119,31 +119,30 @@ def _read_only(value: np.ndarray) -> np.ndarray:
     return value
 
 
-def as_integer_matrix(a, name: str = "A") -> np.ndarray:
+def as_integer_matrix(a) -> np.ndarray:
     """Validate an integer square matrix within the int64 range, returned as int64."""
     arr = np.asarray(a)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {arr.shape}")
+        raise ValueError(f"A must be square, got shape {arr.shape}")
     if arr.dtype.kind == "b":
-        raise ValueError(f"{name} must have integer entries, got booleans")
+        raise ValueError("A must have integer entries, got booleans")
     if arr.dtype.kind == "f":
         if not np.all(np.isfinite(arr)) or not np.all(arr == np.round(arr)):
-            raise ValueError(f"{name} must have integer entries")
+            raise ValueError("A must have integer entries")
         in_range = np.all((-(2.0**63) <= arr) & (arr < 2.0**63))
     else:  # numpy holds Python ints beyond int64 as uint64 or as objects
         in_range = arr.dtype.kind not in "uO" or all(-(2**63) <= v < 2**63 for v in arr.flat)
     if not in_range:
-        raise ValueError(f"{name} has an entry beyond the int64 range")
+        raise ValueError("A has an entry beyond the int64 range")
     return arr.astype(np.int64)
 
 
-def _validate_full_rank(a: np.ndarray, name: str = "A") -> tuple[np.ndarray, int]:
-    """(A as int64, det A) for a full-rank integer matrix A."""
-    a = as_integer_matrix(a, name)
+def _validate_full_rank(a: np.ndarray) -> int:
+    """det A, exact, for an int64 matrix A from as_integer_matrix that must be full rank."""
     det = int_det(a)
     if det == 0:
-        raise SingularA(f"{name} is singular (exact integer determinant is zero)")
-    return a, det
+        raise SingularA("A is singular (exact integer determinant is zero)")
+    return det
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +240,8 @@ class EffectiveNoiseModel:
     B: np.ndarray  # M x N equalizer
     Ktilde: np.ndarray  # generalized covariance of the effective noise
     L: np.ndarray  # lower Cholesky factor of A (I + snr H^T H)^{-1} A^T
-    snr: float
-    det_gap: float  # log2 |det A|, det A != 0
+    det: int  # exact det A, nonzero
+    det_gap: float  # log2 |det A|
 
 
 def _mt(x: np.ndarray) -> np.ndarray:
@@ -299,18 +298,22 @@ def if_effective_model(ch: ChannelInstance, a) -> EffectiveNoiseModel:
     B = A H^T (I/snr + H H^T)^{-1} and Ktilde = snr A (I + snr H^T H)^{-1} A^T.
     The two expressions for Ktilde (direct filter algebra and the
     matrix-inversion-lemma form, as snr (AG)(AG)^T) are cross-checked to
-    1e-8 relative, and Ktilde against snr L L^T to 1e-9. The model is built
-    once per (channel, A) and shared by later calls; its arrays are read-only.
+    1e-8 relative, and Ktilde against snr L L^T to 1e-9. This is the one
+    check of a (channel, A) pair: A must be an M x M integer matrix with a
+    nonzero exact determinant, which the model carries as det. The model is
+    built once per (channel, A) and shared by later calls; its arrays are
+    read-only.
     """
-    key = as_integer_matrix(a).tobytes()
+    a = as_integer_matrix(a)
+    key = a.tobytes()
     if key not in ch._effective_models:
-        a, det = _validate_full_rank(a)
         m = ch.num_streams
         if a.shape[0] != m:
             raise ValueError(f"A must be {m}x{m} for this channel, got {a.shape}")
+        det = _validate_full_rank(a)
         k, l, b = _effective_noise(ch, a.astype(float))
         ch._effective_models[key] = EffectiveNoiseModel(
-            A=_read_only(a), B=_read_only(b), Ktilde=_read_only(k), L=_read_only(l), snr=ch.snr,
+            A=_read_only(a), B=_read_only(b), Ktilde=_read_only(k), L=_read_only(l), det=det,
             det_gap=float(math.log2(abs(det))),
         )
     return ch._effective_models[key]
@@ -392,9 +395,11 @@ def _feasible_permutations(a: np.ndarray) -> list[tuple]:
     """All permutations realizable by elimination without row swaps or scaling.
 
     That needs det A[:k, S] != 0 for the set S of the first k columns, for
-    every k; each of the at most 2^M - 1 sets' minors is computed once, in
-    integer arithmetic. Prefixes grow in increasing column order
-    (itertools.permutations order). A is a validated full-rank int64 matrix.
+    every k; each of the at most 2^M - 2 proper sets' minors is computed once,
+    in integer arithmetic. The full set's minor is det A, which the caller
+    has checked, so the last column of each order is the one left over.
+    Prefixes grow in increasing column order (itertools.permutations order).
+    A is a validated full-rank int64 matrix.
     """
     m = a.shape[0]
     if m > MAX_PSEUDO_TRI_DIM:
@@ -407,19 +412,20 @@ def _feasible_permutations(a: np.ndarray) -> list[tuple]:
         return int_det(a[: len(cols), sorted(cols)]) != 0
 
     prefixes = [()]
-    for _ in range(m):
+    for _ in range(m - 1):
         prefixes = [p + (c,) for p in prefixes for c in range(m)
                     if c not in p and nonzero(frozenset(p + (c,)))]
     if not prefixes:
         raise IfwbError("full-rank matrix produced no feasible permutation")
-    return prefixes
+    return [p + tuple(c for c in range(m) if c not in p) for p in prefixes]
 
 
 def pseudo_triangularize(a) -> list[PseudoTriangularization]:
     """All column permutations under which A becomes upper triangular (those of
     _feasible_permutations), each with the filter of a float elimination, which
     is checked to triangularize A."""
-    a, _ = _validate_full_rank(a)
+    a = as_integer_matrix(a)
+    _validate_full_rank(a)
     m = a.shape[0]
     results = []
     for perm in _feasible_permutations(a):
@@ -454,19 +460,17 @@ def _monotone(diag: np.ndarray) -> np.ndarray:
     return np.all(diag[..., :-1] ** 2 <= diag[..., 1:] ** 2 * (1.0 + 1e-12), axis=-1)
 
 
-def _allocation_plans(ch: ChannelInstance, a: np.ndarray, perms) -> list[AllocationPlan]:
-    """allocate_rates's plans for perms, for a validated full-rank int64 A of
-    which every permutation in perms is feasible.
+def _allocation_plans(model: EffectiveNoiseModel, perms) -> list[AllocationPlan]:
+    """allocate_rates's plans for perms, every one of them feasible for model.A.
 
     The per-step rates and the monotone flag depend on A alone, so they are
     computed once for all of perms.
     """
-    m = ch.num_streams
-    model = if_effective_model(ch, a)
+    m = model.A.shape[0]
     diag = np.diag(model.L)
     per_step = tuple(float(-np.log2(d)) for d in diag)
     # the one exception to the monotone rule: A = I is plain SIC, always a plan
-    feasible = bool(_monotone(diag)) or np.array_equal(a, np.eye(m, dtype=np.int64))
+    feasible = bool(_monotone(diag)) or np.array_equal(model.A, np.eye(m, dtype=np.int64))
     sym = max(0.0, min(per_step))
     plans = []
     for perm in perms:
@@ -489,23 +493,23 @@ def allocate_rates(ch: ChannelInstance, a, permutation) -> AllocationPlan:
     (always, for A = I, which is plain SIC); an infeasible plan falls back to
     the conservative symmetric allocation.
     """
-    a, _ = _validate_full_rank(a)
+    model = if_effective_model(ch, a)
     m = ch.num_streams
     perm = tuple(int(i) for i in permutation)
     if sorted(perm) != list(range(m)):
         raise ValueError(f"permutation must be a permutation of 0..{m - 1}")
-    if perm not in _feasible_permutations(a):
+    if perm not in _feasible_permutations(model.A):
         raise InfeasiblePermutation(f"permutation {perm} is not feasible for this A")
-    return _allocation_plans(ch, a, [perm])[0]
+    return _allocation_plans(model, [perm])[0]
 
 
 def feasible_allocations(ch: ChannelInstance, a) -> list[AllocationPlan]:
     """allocate_rates(ch, a, p) for every permutation p of pseudo_triangularize(a), in its order.
 
-    A is validated, and its feasible permutations found, once.
+    A is checked by if_effective_model, and its feasible permutations found, once.
     """
-    a, _ = _validate_full_rank(a)
-    return _allocation_plans(ch, a, _feasible_permutations(a))
+    model = if_effective_model(ch, a)
+    return _allocation_plans(model, _feasible_permutations(model.A))
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,16 @@ class TestRates:
         assert "bad --a-matrix: A has an entry beyond the int64 range" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("a_matrix, code, message", [
+        ("1,0,0;0,1,0;0,0,1", 2, "ifwb: A must be 2x2 for this channel, got (3, 3)"),
+        ("1,1;2,2", 3, "ifwb: singular integer matrix: A is singular (exact integer determinant is zero)"),
+    ])
+    def test_a_matrix_checked_once(self, capsys, ex1_csv, a_matrix, code, message):
+        assert main(["rates", "--channel", ex1_csv, "--snr-db", "15", "--a-matrix", a_matrix]) == code
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [message]
+        assert captured.out == ""
+
     def test_complex_channel_pair(self, capsys, tmp_path):
         re_path = tmp_path / "re.csv"
         im_path = tmp_path / "im.csv"

@@ -250,6 +250,10 @@ class TestKz:
     def test_dimension_guard(self):
         with pytest.raises(DimensionTooLarge):
             kz_reduce(np.eye(11))
+        # the basis is validated first, as in shortest_vector and is_kz_reduced
+        for check in (kz_reduce, shortest_vector, is_kz_reduced):
+            with pytest.raises(DegenerateBasis):
+                check(np.ones((11, 11)))
 
     def test_orthogonal_channel_ties_keep_identity(self):
         # link_sim's noiseless diagnostic: H = Q from a seeded QR at 25 dB. The

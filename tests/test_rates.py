@@ -114,8 +114,22 @@ class TestEffectiveModelSharing:
         for _ in range(2):
             with pytest.raises(SingularA):
                 if_effective_model(example1, [[1, 2], [2, 4]])
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=r"A must be 2x2 for this channel, got \(3, 3\)"):
                 if_effective_model(example1, np.eye(3, dtype=int))
+            # the size is checked before the determinant
+            with pytest.raises(ValueError, match="must be 2x2"):
+                if_effective_model(example1, np.zeros((3, 3), dtype=int))
+
+    def test_one_conversion_and_one_determinant_per_model(self, example1, monkeypatch):
+        converted, dets = [], []
+        monkeypatch.setattr(rates_module, "as_integer_matrix",
+                            lambda a: converted.append(a) or as_integer_matrix(a))
+        monkeypatch.setattr(rates_module, "int_det", lambda a: dets.append(a) or int_det(a))
+        model = if_effective_model(example1, [[2, 1], [3, 4]])
+        assert model.det == 5 and model.det_gap == math.log2(5)
+        assert len(converted) == len(dets) == 1
+        assert if_effective_model(example1, [[2, 1], [3, 4]]) is model
+        assert len(converted) == 2 and len(dets) == 1
 
     def test_rate_functions_share_one_factorization(self, monkeypatch):
         calls = []
@@ -468,7 +482,9 @@ class TestFeasiblePermutations:
         a = np.array([[1, 2, 3, 4, 5], [1, 4, 9, 16, 25], [1, 8, 27, 64, 125],
                       [1, 16, 81, 256, 625], [1, 32, 243, 1024, 3125]], dtype=np.int64)
         assert len(_feasible_permutations(a)) == 120
-        assert len(calls) == 2**5 - 1
+        # the 2^5 - 2 proper column sets; the full set's minor is det A, checked by the caller
+        assert len(calls) == 2**5 - 2
+        assert (5, 5) not in calls
 
 
 class TestAllocateRates:
@@ -509,6 +525,22 @@ class TestAllocateRates:
         ch = ChannelInstance(np.eye(2), 4.0)
         with pytest.raises(InfeasiblePermutation):
             allocate_rates(ch, np.eye(2, dtype=int), (1, 0))
+
+    @pytest.mark.parametrize("perm", [(0, 1), (0, 1, 2)])
+    def test_wrong_size_a_is_a_size_error(self, perm):
+        ch = ChannelInstance(np.eye(2), 4.0)
+        with pytest.raises(ValueError, match=r"A must be 2x2 for this channel, got \(3, 3\)"):
+            allocate_rates(ch, np.eye(3, dtype=int), perm)
+
+    def test_wrong_size_a_fails_before_the_permutation_scan(self, monkeypatch):
+        ch = ChannelInstance(np.eye(2), 4.0)
+        scans = []
+        monkeypatch.setattr(rates_module, "_feasible_permutations",
+                            lambda a: scans.append(a) or _feasible_permutations(a))
+        with pytest.raises(ValueError, match=r"A must be 2x2 for this channel, got \(3, 3\)"):
+            feasible_allocations(ch, np.eye(3, dtype=int))
+        assert scans == []
+        assert len(feasible_allocations(ch, np.eye(2, dtype=int))) == len(scans) == 1
 
     def test_non_monotone_falls_back_to_symmetric(self):
         rng = np.random.default_rng(41)

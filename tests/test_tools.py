@@ -1,4 +1,4 @@
-"""Smoke tests of tools/lattice_identity.py and tools/sim_identity.py on a few cases."""
+"""Smoke tests of the identity tools in tools/ on a few cases."""
 
 import json
 import os
@@ -49,3 +49,15 @@ def test_sim_identity_writes_one_line_per_run(tmp_path):
         assert all(isinstance(v, int) and 0 <= v <= line["trials"] for v in line["symbol_errors"])
         assert len(line["equation_decisions"]) == len(line["stream_decisions"]) == 64
         assert np.shape(f["Ktilde"]) == (line["m"], line["m"])
+
+
+def test_cli_identity_runs_each_distinct_call_once(tmp_path, capsys):
+    main = runpy.run_path(os.path.join(TOOLS, "cli_identity.py"))["main"]
+    assert main([str(tmp_path), "--workloads", "region_scan"]) == 0
+    assert capsys.readouterr().out == "region_scan: 25 calls, 0 with a problem\n"
+    calls = (tmp_path / "region_scan" / "calls.txt").read_text().splitlines()
+    names = [line.split()[0] for line in calls]
+    assert len(set(names)) == len(names) == 25 and names[0] == "golden_example1"
+    assert all(line.split()[1:] == ["0", "''"] for line in calls)
+    outputs = sorted(os.listdir(tmp_path / "region_scan" / "out"))
+    assert outputs == sorted(f"{name}.{ext}" for name in names for ext in ("json", "csv"))
