@@ -431,7 +431,8 @@ def cmd_sweep(args) -> int:
 def _add_channel_args(sub) -> None:
     sub.add_argument("--channel", help="CSV file, one channel-matrix row per line")
     sub.add_argument("--channel-imag", help="CSV file with imaginary parts (complex channel)")
-    sub.add_argument("--snr-db", help="SNR in dB (comma list for sweep)")
+    sub.add_argument("--snr-db", help="SNR in dB (comma list for sweep); a list that "
+                     "starts with a minus sign takes '=': --snr-db=-10,0,10")
 
 
 @functools.cache
@@ -445,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("rates", help="capacities and per-stream rates for one channel")
     _add_channel_args(p)
-    p.add_argument("--a-matrix", help='integer matrix, rows ; separated: "1,1;3,2"')
+    p.add_argument("--a-matrix", help='integer matrix, rows ; separated: "1,1;3,2"; one '
+                   "that starts with a minus sign takes '=': --a-matrix=-1,0;0,-1")
     p.add_argument("--order", help='1-based MMSE-SIC decode order, e.g. "2,1"')
     p.add_argument("--mode", choices=sorted(_MODES), default="kz")
     p.add_argument("--coeff-bound", type=int, help="entry bound for brute mode")

@@ -70,10 +70,6 @@ class ChannelInstance:
     def num_receive(self) -> int:
         return self.H.shape[0]
 
-    def with_columns(self, order) -> "ChannelInstance":
-        """Channel with transmit streams reordered (columns permuted)."""
-        return ChannelInstance(self.H[:, list(order)], self.snr)
-
     # The matrices below are pure functions of (H, snr); each is computed
     # once per instance and returned read-only.
 
@@ -192,7 +188,7 @@ def waterfilling_capacity(ch: ChannelInstance) -> tuple[float, np.ndarray]:
 class SicPlan:
     """MMSE-SIC noise-prediction outcome for a fixed decoding order."""
 
-    G: np.ndarray  # lower-triangular Cholesky factor of (I + snr H^T H)^{-1}
+    G: np.ndarray  # lower Cholesky factor of P (I + snr H^T H)^{-1} P^T, P = I[decode_order]
     decode_order: tuple  # stream indices in decoding sequence (0-based)
     rates: tuple  # rate of the k-th decoded stream, -log2 g_kk
     stream_rates: tuple  # same rates indexed by original stream
@@ -202,17 +198,17 @@ class SicPlan:
 def mmse_sic_plan(ch: ChannelInstance, decode_order=None) -> SicPlan:
     """Per-stream MMSE-SIC rates -1/2 log2(g_mm^2) for a decoding order.
 
-    The default order decodes stream 0 first. A different order permutes the
-    channel columns before factoring, which reproduces the other corner
-    points of the rate region; ``stream_rates`` maps the results back to the
+    The default order decodes stream 0 first. MMSE-SIC in order pi is
+    successive IF with the permutation matrix P whose row k is e_pi(k), so G
+    is the factor L of if_effective_model(ch, P): ch.sic_cholesky bit for bit
+    in the default order. ``stream_rates`` maps the rates back to the
     original stream indices.
     """
     m = ch.num_streams
     order = tuple(range(m)) if decode_order is None else tuple(int(i) for i in decode_order)
     if sorted(order) != list(range(m)):
         raise ValueError(f"decode_order must be a permutation of 0..{m - 1}")
-    chp = ch if order == tuple(range(m)) else ch.with_columns(order)
-    g = chp.sic_cholesky
+    g = if_effective_model(ch, np.eye(m, dtype=np.int64)[list(order)]).L
     diag = np.diag(g)
     assert np.all(diag > 0) and np.all(diag <= 1.0 + 1e-12), "g_mm must lie in (0, 1]"
     rates = tuple(float(-np.log2(d)) for d in diag)
@@ -449,7 +445,7 @@ class AllocationPlan:
 
     permutation: tuple
     stream_rates: tuple  # rate of stream m (original indexing)
-    monotone_feasible: bool  # Cholesky diagonal is nondecreasing (or A == I)
+    monotone_feasible: bool  # Cholesky diagonal is nondecreasing, or A is a signed permutation
     sum_rate: float
     sum_rate_gap: float  # log2 |det A|
 
@@ -469,8 +465,9 @@ def _allocation_plans(model: EffectiveNoiseModel, perms) -> list[AllocationPlan]
     m = model.A.shape[0]
     diag = np.diag(model.L)
     per_step = tuple(float(-np.log2(d)) for d in diag)
-    # the one exception to the monotone rule: A = I is plain SIC, always a plan
-    feasible = bool(_monotone(diag)) or np.array_equal(model.A, np.eye(m, dtype=np.int64))
+    # the one exception to the monotone rule: a signed permutation is plain SIC, always a plan
+    nonzero = model.A[model.A != 0]  # m entries of +-1: one per row, as A is full rank
+    feasible = (nonzero.size == m and bool(np.all(np.abs(nonzero) == 1))) or bool(_monotone(diag))
     sym = max(0.0, min(per_step))
     plans = []
     for perm in perms:
@@ -489,9 +486,10 @@ def allocate_rates(ch: ChannelInstance, a, permutation) -> AllocationPlan:
     """Per-stream rate allocation for a feasible permutation.
 
     Stream m is assigned the per-step rate at position perm^{-1}(m). The plan
-    is marked feasible when the squared Cholesky diagonal is nondecreasing
-    (always, for A = I, which is plain SIC); an infeasible plan falls back to
-    the conservative symmetric allocation.
+    is marked feasible when the squared Cholesky diagonal is nondecreasing,
+    and always when A is a signed permutation D P_pi: plain SIC in order pi,
+    its one feasible permutation, with mmse_sic_plan(ch, pi)'s stream rates.
+    An infeasible plan falls back to the conservative symmetric allocation.
     """
     model = if_effective_model(ch, a)
     m = ch.num_streams

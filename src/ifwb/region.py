@@ -129,7 +129,8 @@ def _scan_box(ch: ChannelInstance, bound: int):
     rates -log2 l_mm. For full-rank 2x2 A, permutation (0, 1) is feasible iff
     a00 != 0 and (1, 0) iff a01 != 0. Returns the matrices, indices into
     _PERMUTATIONS and the stream rates clamped at zero, ordered by A, then by
-    permutation. A = I needs no exception here: its one plan is a SIC corner.
+    permutation. A signed permutation needs no exception here: its one plan is
+    plain SIC, a SIC corner, and the corners are kept whatever the scan finds.
     """
     a, af, first_row_nonzero = _scan_table(bound)
     _, l, _ = _effective_noise(ch, af)
@@ -162,10 +163,11 @@ def enumerate_achievable_points(ch: ChannelInstance, coeff_bound: int) -> RateRe
 
     Scans every full-rank integer A with entries in [-coeff_bound,
     coeff_bound], keeps allocation plans that are monotone-feasible, adds the
-    two SIC corners (a scan point within 1e-9 of one in both rates is that
-    corner), deduplicates rate tuples to 1e-9 and computes the Pareto frontier
-    (a point is dominated when another is at least as large in both rates, to
-    1e-9). Rates are clamped at zero (sending nothing is always allowed).
+    two SIC corners, the signed permutations' plans (a scan point within 1e-9
+    of one in both rates is that corner), deduplicates rate tuples to 1e-9
+    and computes the Pareto frontier (a point is dominated when another is at
+    least as large in both rates, to 1e-9). Rates are clamped at zero
+    (sending nothing is always allowed).
     """
     if ch.num_streams != 2:
         raise DimensionTooLarge("region enumeration is guarded to 2 streams")

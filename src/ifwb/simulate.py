@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rates import ChannelInstance, as_integer_matrix, gdfe_filters, if_effective_model
+from .rates import ChannelInstance, gdfe_filters, if_effective_model
 
 
 def _integer(name: str, value) -> int:
@@ -55,13 +55,8 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        a = as_integer_matrix(self.A)
-        if a.shape[0] != self.ch.num_streams:
-            raise ValueError(
-                f"A must be {self.ch.num_streams}x{self.ch.num_streams} for this channel"
-            )
-        object.__setattr__(self, "A", a)
-        self.A.setflags(write=False)
+        # the model's A: checked once for size and rank, int64 and read-only
+        object.__setattr__(self, "A", if_effective_model(self.ch, self.A).A)
         q = _integer("pam_points", self.pam_points)
         if q < 2 or q % 2 != 0 or q > 2**31:
             raise ValueError(

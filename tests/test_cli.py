@@ -109,6 +109,23 @@ class TestRates:
         assert captured.err.splitlines() == [message]
         assert captured.out == ""
 
+    def test_signed_permutation_is_plain_sic(self, capsys, ex1_csv):
+        """-I gets the allocations of I, and the swap those of decode order (2, 1),
+        bit for bit; a matrix that starts with a minus sign takes '='."""
+        base = ["rates", "--channel", ex1_csv, "--snr-db", "15"]
+
+        def allocations(a_matrix):
+            return run_json(capsys, base + [f"--a-matrix={a_matrix}"])["results"]["allocations"]
+
+        assert allocations("-1,0;0,-1") == allocations("1,0;0,1")
+        (swap,) = allocations("0,1;1,0")
+        sic = run_json(capsys, base + ["--order", "2,1"])["results"]["mmse_sic"]
+        assert swap["permutation"] == [2, 1] and swap["monotone_feasible"]
+        assert swap["stream_rates"] == sic["stream_rates"]
+        with pytest.raises(SystemExit):
+            main(base + ["--a-matrix", "-1,0;0,-1"])
+        assert "expected one argument" in capsys.readouterr().err
+
     def test_complex_channel_pair(self, capsys, tmp_path):
         re_path = tmp_path / "re.csv"
         im_path = tmp_path / "im.csv"
@@ -287,6 +304,21 @@ class TestSimulate:
         assert "bad simulation config: A has an entry beyond the int64 range" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("a_matrix, code, message", [
+        ("[[1, 0, 0], [0, 1, 0], [0, 0, 1]]", 2,
+         "ifwb: bad simulation config: A must be 2x2 for this channel, got (3, 3)"),
+        ("[[1, 1], [1, 1]]", 3,
+         "ifwb: singular integer matrix: A is singular (exact integer determinant is zero)"),
+    ])
+    def test_a_matrix_checked_by_the_effective_model(self, capsys, tmp_path, a_matrix, code, message):
+        path = tmp_path / "bad_a.json"
+        path.write_text('{"channel": [[1.0, 0.0], [0.0, 1.0]], "snr_db": 20, "trials": 10, '
+                        f'"a_matrix": {a_matrix}}}')
+        assert main(["simulate", "--config", str(path)]) == code
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [message]
+        assert captured.out == ""
+
     @pytest.mark.parametrize("a_matrix", ["[[true, false], [false, true]]", "[[1, true], [0, 1]]"])
     def test_rejects_boolean_a_matrix_entries(self, capsys, tmp_path, a_matrix):
         path = tmp_path / "bool_a.json"
@@ -395,6 +427,14 @@ class TestSweep:
         # known symmetric total at 15 dB
         at15 = [r for r in table["s-if"] if r[0] == 15.0][0]
         assert abs(at15[1] - 2 * 1.4463) <= 2 * ANCHOR_TOL
+
+    def test_negative_snr_list_takes_equals(self, capsys, ex1_csv):
+        assert main(["sweep", "--channel", ex1_csv, "--snr-db=-10,0,10", "--schemes", "s-if"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["-10.0", "0.0", "10.0"]
+        with pytest.raises(SystemExit):
+            main(["sweep", "--channel", ex1_csv, "--snr-db", "-10,0,10"])
+        assert "expected one argument" in capsys.readouterr().err
 
     def test_rejects_empty_snr_list(self, capsys, ex1_csv):
         assert main(["sweep", "--channel", ex1_csv, "--snr-db", ",", "--schemes", "s-if"]) == 2

@@ -61,7 +61,7 @@ class TestChannelDerivedMatrices:
 
     @pytest.mark.parametrize("name", DERIVED)
     def test_reordered_channel_has_its_own_values(self, example1, name):
-        swapped = example1.with_columns((1, 0))
+        swapped = ChannelInstance(example1.H[:, ::-1], example1.snr)
         ours, theirs = getattr(example1, name), getattr(swapped, name)
         assert theirs is not ours
         if name == "sic_cholesky":
@@ -71,7 +71,15 @@ class TestChannelDerivedMatrices:
             np.testing.assert_allclose(theirs, ours[::-1], rtol=1e-12)
 
     def test_sic_plan_reuses_the_channel_factor(self, example1):
-        assert mmse_sic_plan(example1).G is example1.sic_cholesky
+        """In the natural order, the plan's G (the factor L of A = I) is the
+        channel's factor bit for bit (0-120 dB)."""
+        rng = np.random.default_rng(47)
+        channels = [example1] + [
+            conditioned_channel(rng, m, int(rng.integers(1, m + 3)), float(rng.uniform(0.0, 120.0)))
+            for m in (2, 3, 4, 5, 6) * 10
+        ]
+        for ch in channels:
+            np.testing.assert_array_equal(mmse_sic_plan(ch).G, ch.sic_cholesky)
 
 
 class TestEffectiveNoiseKernel:
@@ -194,27 +202,34 @@ class TestWhiteInputCapacity:
 class TestHighPrecisionReference:
     @pytest.mark.parametrize("conditioned, tol", [(False, 1e-12), (True, 1e-11)])
     def test_capacity_and_sic_rates_to_120_db(self, conditioned, tol):
-        """C_WI and the MMSE-SIC rates against 60-digit arithmetic on 60 channels
-        with M 2-6, N 1..M+2 and 0-120 dB; H Gaussian, or with a condition number
-        up to 1e9, where the float64 input itself limits the accuracy (worst
-        error 3.2e-12 bits). Explicitly inverted Gram matrices were off by up to
-        4e-5 bits on both sets."""
+        """C_WI and the MMSE-SIC rates, in the natural and in a random decode
+        order, against 60-digit arithmetic on 60 channels with M 2-6, N 1..M+2
+        and 0-120 dB; H Gaussian, or with a condition number up to 1e9, where
+        the float64 input itself limits the accuracy (worst error 3.2e-12 bits).
+        Explicitly inverted Gram matrices were off by up to 4e-5 bits on both
+        sets."""
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(45)
+        orders = np.random.default_rng(46)
         for _ in range(60):
             m = int(rng.integers(2, 7))
             n = int(rng.integers(1, m + 3))
             cond = float(10.0 ** rng.uniform(0.0, 9.0)) if conditioned else None
             ch = conditioned_channel(rng, m, n, float(rng.uniform(0.0, 120.0)), cond)
+            order = tuple(orders.permutation(m).tolist())
             with mpmath.workdps(60):
                 h = mpmath.matrix(ch.H.tolist())
                 gram = mpmath.eye(m) + mpmath.mpf(ch.snr) * (h.T * h)
                 cwi = mpmath.log(mpmath.det(gram), 2) / 2
-                g = mpmath.cholesky(gram**-1)
-                sic = [-mpmath.log(g[k, k], 2) for k in range(m)]
+                sic = {}
+                for decode in (tuple(range(m)), order):
+                    p = mpmath.matrix([[float(i == j) for j in range(m)] for i in decode])
+                    g = mpmath.cholesky(p * gram**-1 * p.T)
+                    sic[decode] = [-mpmath.log(g[k, k], 2) for k in range(m)]
             assert abs(white_input_capacity(ch) - float(cwi)) <= tol
-            got = mmse_sic_plan(ch).rates
-            assert max(abs(r - float(want)) for r, want in zip(got, sic)) <= tol
+            for decode, want in sic.items():
+                got = mmse_sic_plan(ch, decode).rates
+                assert max(abs(r - float(w)) for r, w in zip(got, want)) <= tol
 
 
 class TestWaterfilling:
@@ -506,8 +521,26 @@ class TestAllocateRates:
         m = ch.num_streams
         plan = allocate_rates(ch, np.eye(m, dtype=int), tuple(range(m)))
         sic = mmse_sic_plan(ch)
-        assert plan.monotone_feasible  # bypassed for A = I regardless of diagonal
+        assert plan.monotone_feasible  # a signed permutation, a plan whatever its diagonal
         assert max(abs(a - b) for a, b in zip(plan.stream_rates, sic.rates)) <= 1e-12
+
+    def test_signed_permutation_is_sic_in_its_row_order(self):
+        """A = D P_pi, row k of P_pi being e_pi(k) and D any sign matrix, is plain
+        MMSE-SIC in order pi: a plan whatever its diagonal, with the stream rates
+        of mmse_sic_plan(ch, pi) bit for bit (M 2-4, 0-60 dB)."""
+        rng = np.random.default_rng(48)
+        monotone = set()
+        for m in (2, 3, 4) * 4:
+            ch = conditioned_channel(rng, m, int(rng.integers(1, m + 2)), float(rng.uniform(0.0, 60.0)))
+            for order in itertools.permutations(range(m)):
+                want = mmse_sic_plan(ch, order).stream_rates
+                for signs in itertools.product((1, -1), repeat=m):
+                    a = np.diag(signs) @ np.eye(m, dtype=np.int64)[list(order)]
+                    plan = allocate_rates(ch, a, order)
+                    assert plan.monotone_feasible and plan.stream_rates == want
+                    assert plan.sum_rate == sum(want)
+                    monotone.add(bool(_monotone(np.diag(if_effective_model(ch, a).L))))
+        assert monotone == {True, False}  # both kinds of diagonal were covered
 
     def test_sum_identity_with_kz_optimal(self):
         rng = np.random.default_rng(40)

@@ -123,9 +123,9 @@ class TestEnumerateAchievablePoints:
             )
 
     def test_frontier_drops_points_dominated_within_tolerance(self):
-        """A point 3e-16 right of a SIC corner but 1 bit below it is dominated."""
-        ch = ChannelInstance(np.array([[0.34736176866043106, -2.3378561559560835]]),
-                             10.0 ** (10.67 / 10.0))
+        """A point 3.6e-16 right of a SIC corner but 1.6 bits below it is dominated."""
+        ch = ChannelInstance(np.array([[-0.09169298400258642, 0.7513715983602517]]),
+                             10.0 ** (14.97 / 10.0))
         reg = enumerate_achievable_points(ch, 3)
         (corner,) = [p for p in reg.points if p.source == "sic_corner" and p.permutation == (1, 0)]
         c1, c2 = corner.rates
@@ -260,16 +260,20 @@ class TestBatchedScanMatchesReference:
         assert [p.rates for p in corner] == [plan.stream_rates]
 
     def test_identity_plan_is_the_sic_corner_bit_for_bit(self):
-        """Why the scan needs no A = I: in a stack, I gets per-step rates equal
-        bit for bit to those of the (0, 1) SIC corner (-10 to 120 dB, H scaled
-        by 1e-3 to 1e3)."""
+        """Why the scan needs no signed permutation: in a stack, I gets per-step
+        rates equal bit for bit to those of the (0, 1) SIC corner, and the swap
+        and its negative those of the (1, 0) corner (-10 to 120 dB, H scaled by
+        1e-3 to 1e3)."""
         rng = np.random.default_rng(5000)
-        stack = np.concatenate([_scan_table(1)[1], np.eye(2)[None]])
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        stack = np.concatenate([_scan_table(1)[1], [np.eye(2), swap, -swap]])
         for _ in range(300):
             h = rng.standard_normal((int(rng.integers(1, 4)), 2)) * 10.0 ** rng.uniform(-3, 3)
             ch = ChannelInstance(h, 10.0 ** rng.uniform(-1.0, 12.0))
             _, l, _ = _effective_noise(ch, stack)
-            assert (-np.log2(np.diag(l[-1]))).tolist() == list(mmse_sic_plan(ch).rates)
+            per_step = (-np.log2(np.diagonal(l[-3:], axis1=1, axis2=2))).tolist()
+            first, second = (list(mmse_sic_plan(ch, order).rates) for order in ((0, 1), (1, 0)))
+            assert per_step == [first, second, second]
 
     def test_dedup_compares_beyond_last_kept_point(self):
         r1, r2 = [1.0, 1.0 + 5e-10], [5.0, 2.0]  # both kept

@@ -77,9 +77,15 @@ class TestConfigValidation:
 
     def test_rejects_singular_a(self):
         ch = ChannelInstance(np.eye(2), 4.0)
-        cfg = SimConfig(ch=ch, A=np.array([[1, 1], [1, 1]]), pam_points=4, trials=10, seed=0)
         with pytest.raises(SingularA):
-            run_successive_if_trials(cfg)
+            SimConfig(ch=ch, A=np.array([[1, 1], [1, 1]]), pam_points=4, trials=10, seed=0)
+
+    def test_a_is_the_effective_models(self):
+        ch = ChannelInstance(np.eye(2), 4.0)
+        with pytest.raises(ValueError, match=r"A must be 2x2 for this channel, got \(3, 3\)"):
+            SimConfig(ch=ch, A=np.eye(3, dtype=int), pam_points=4, trials=10, seed=0)
+        cfg = SimConfig(ch=ch, A=[[2, 1], [1, 1]], pam_points=4, trials=10, seed=0)
+        assert cfg.A is if_effective_model(ch, [[2, 1], [1, 1]]).A
 
     @pytest.mark.parametrize("noise_scale", [math.nan, math.inf, -math.inf, -1.0])
     @pytest.mark.parametrize(
