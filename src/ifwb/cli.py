@@ -84,7 +84,7 @@ def _read_channel(args) -> np.ndarray:
     if args.channel is None:
         raise CliError("--channel is required")
     h = _read_matrix_csv(args.channel)
-    him = _read_matrix_csv(args.channel_imag) if args.channel_imag else None
+    him = _read_matrix_csv(args.channel_imag) if args.channel_imag is not None else None
     return _channel_matrix(h, him)
 
 
@@ -230,11 +230,11 @@ def _report(ch: ChannelInstance, snr_db: float, results: dict, residuals: dict) 
 
 def cmd_rates(args) -> int:
     ch, snr_db = _load_channel(args)
-    if args.a_matrix:
+    if args.a_matrix is not None:
         a = _parse_a_matrix(args.a_matrix)
     else:
         a = optimal_a(ch, _MODES[args.mode], bound=args.coeff_bound)
-    order = _parse_order(args.order, ch.num_streams) if args.order else None
+    order = _parse_order(args.order, ch.num_streams) if args.order is not None else None
     model = if_effective_model(ch, a)  # the one check of A's size and rank
 
     cap, _ = waterfilling_capacity(ch)
@@ -390,7 +390,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     snr_list = _parse_snr_list(args.snr_db)
-    schemes = [s.strip() for s in (args.schemes or ",".join(SCHEMES)).split(",") if s.strip()]
+    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if not schemes:
         raise CliError("--schemes must name at least one scheme")
     for s in schemes:
@@ -478,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sweep", help="rate-vs-SNR table (CSV)")
     _add_channel_args(p)
-    p.add_argument("--schemes", help=f"comma list from: {', '.join(SCHEMES)}")
+    p.add_argument("--schemes", default=",".join(SCHEMES),
+                   help="comma list from %(default)s (default: all)")
     p.add_argument("--mode", choices=sorted(_MODES), default="kz")
     p.add_argument("--coeff-bound", type=int)
     p.add_argument("--out", help="CSV output path")

@@ -456,6 +456,12 @@ def _monotone(diag: np.ndarray) -> np.ndarray:
     return np.all(diag[..., :-1] ** 2 <= diag[..., 1:] ** 2 * (1.0 + 1e-12), axis=-1)
 
 
+def _signed_permutation(a: np.ndarray) -> np.ndarray:
+    """Whether each full-rank integer matrix over a's trailing two axes is a signed
+    permutation: entries in {-1, 0, 1}, M of them nonzero (no abs: it wraps at -2**63)."""
+    return ((a >= -1) & (a <= 1)).all(axis=(-2, -1)) & ((a != 0).sum(axis=(-2, -1)) == a.shape[-1])
+
+
 def _allocation_plans(model: EffectiveNoiseModel, perms) -> list[AllocationPlan]:
     """allocate_rates's plans for perms, every one of them feasible for model.A.
 
@@ -466,8 +472,7 @@ def _allocation_plans(model: EffectiveNoiseModel, perms) -> list[AllocationPlan]
     diag = np.diag(model.L)
     per_step = tuple(float(-np.log2(d)) for d in diag)
     # the one exception to the monotone rule: a signed permutation is plain SIC, always a plan
-    nonzero = model.A[model.A != 0]  # m entries of +-1: one per row, as A is full rank
-    feasible = (nonzero.size == m and bool(np.all(np.abs(nonzero) == 1))) or bool(_monotone(diag))
+    feasible = bool(_monotone(diag)) or bool(_signed_permutation(model.A))
     sym = max(0.0, min(per_step))
     plans = []
     for perm in perms:

@@ -1,17 +1,16 @@
 """Two-user MAC rate-region enumeration for successive integer-forcing.
 
 Scans a bounded box of integer target matrices, keeps every feasible
-allocation plus the two plain-SIC corner points, and extracts the Pareto
-frontier together with the capacity pentagon. A row sign of A changes
-neither its rates nor its feasible permutations, so one vectorized pass
-covers one matrix per row-sign class, a quarter of the box. Results are
-sorted by rate tuple on arrays before deduplication and frontier
-extraction, so enumeration is deterministic.
+allocation, among them the two plain-SIC corners (the plans of -I and
+-swap), and extracts the Pareto frontier together with the capacity
+pentagon. A row sign of A changes neither its rates nor its feasible
+permutations, so one vectorized pass covers one matrix per row-sign class,
+a quarter of the box. Results are sorted by rate tuple on arrays before
+deduplication and frontier extraction, so enumeration is deterministic.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache
 
@@ -23,14 +22,14 @@ from .rates import (
     _effective_noise,
     _monotone,
     _read_only,
-    mmse_sic_plan,
+    _signed_permutation,
     white_input_capacity,
 )
 
 MAX_COEFF_BOUND = 5
 _DEDUP_TOL = 1e-9
 _PERMUTATIONS = ((0, 1), (1, 0))
-_SOURCES = ("sic_corner", "successive_if")
+_SOURCES = ("successive_if", "sic_corner")
 
 
 @dataclass(frozen=True)
@@ -108,17 +107,18 @@ def _class_representatives(bound: int) -> np.ndarray:
 
 
 @cache
-def _scan_table(bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scan_table(bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The nonsingular matrices of _class_representatives(bound), as int64 and
-    as float, and the mask of their nonzero first-row entries. Built once per
-    bound, so at most MAX_COEFF_BOUND tables; read-only."""
+    as float, the mask of their nonzero first-row entries and that of the signed
+    permutations (-I, -swap). Built once per bound, at most MAX_COEFF_BOUND; read-only."""
     a = _class_representatives(bound)
     a = a[a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0] != 0]
-    return _read_only(a), _read_only(a.astype(float)), _read_only(a[:, 0, :] != 0)
+    return (_read_only(a), _read_only(a.astype(float)), _read_only(a[:, 0, :] != 0),
+            _read_only(_signed_permutation(a)))
 
 
 def _scan_box(ch: ChannelInstance, bound: int):
-    """Monotone-feasible successive-IF plans for every full-rank A in the box.
+    """Successive-IF plans for every full-rank A in the box, as in rates.
 
     Negating a row of A negates that row of A G, B and B H - A exactly, and
     a Householder QR of (A G)^T only negates the matching row of R, so the
@@ -127,18 +127,21 @@ def _scan_box(ch: ChannelInstance, bound: int):
     representatives form one stack, which rates._effective_noise factors and
     checks matrix by matrix; the diagonal of each factor L gives the per-step
     rates -log2 l_mm. For full-rank 2x2 A, permutation (0, 1) is feasible iff
-    a00 != 0 and (1, 0) iff a01 != 0. Returns the matrices, indices into
-    _PERMUTATIONS and the stream rates clamped at zero, ordered by A, then by
-    permutation. A signed permutation needs no exception here: its one plan is
-    plain SIC, a SIC corner, and the corners are kept whatever the scan finds.
+    a00 != 0 and (1, 0) iff a01 != 0. A plan is kept when it is monotone or
+    A is a signed permutation, as in rates: -I and -swap, plain SIC, the SIC
+    corners, reported as A = I with their decode order. Returns the matrices,
+    indices into _PERMUTATIONS, the stream rates clamped at zero and the
+    corner mask, ordered by A, then by permutation.
     """
-    a, af, first_row_nonzero = _scan_table(bound)
+    a, af, first_row_nonzero, signed_permutation = _scan_table(bound)
     _, l, _ = _effective_noise(ch, af)
     diag = np.diagonal(l, axis1=1, axis2=2)
-    index, perm = np.nonzero(_monotone(diag)[:, None] & first_row_nonzero)
+    index, perm = np.nonzero((signed_permutation | _monotone(diag))[:, None] & first_row_nonzero)
     per_step = -np.log2(diag)
     rates = np.stack([per_step, per_step[:, ::-1]], axis=1)[index, perm]
-    return a[index], perm, np.where(rates > 0.0, rates, 0.0)
+    matrices, corner = a[index], signed_permutation[index]
+    matrices[corner] = np.eye(2, dtype=np.int64)
+    return matrices, perm, np.where(rates > 0.0, rates, 0.0), corner
 
 
 def _kept_positions(r1, r2) -> list:
@@ -162,12 +165,12 @@ def enumerate_achievable_points(ch: ChannelInstance, coeff_bound: int) -> RateRe
     """Achievable region: feasible allocations over a bounded integer box.
 
     Scans every full-rank integer A with entries in [-coeff_bound,
-    coeff_bound], keeps allocation plans that are monotone-feasible, adds the
-    two SIC corners, the signed permutations' plans (a scan point within 1e-9
-    of one in both rates is that corner), deduplicates rate tuples to 1e-9
-    and computes the Pareto frontier (a point is dominated when another is at
-    least as large in both rates, to 1e-9). Rates are clamped at zero
-    (sending nothing is always allowed).
+    coeff_bound] and keeps the allocation plans that are monotone-feasible
+    and the two SIC corners, the signed permutations' plans (a point within
+    1e-9 of a corner in both rates is that corner), deduplicates rate tuples
+    to 1e-9 and computes the Pareto frontier (a point is dominated when
+    another is at least as large in both rates, to 1e-9). Rates are clamped
+    at zero (sending nothing is always allowed).
     """
     if ch.num_streams != 2:
         raise DimensionTooLarge("region enumeration is guarded to 2 streams")
@@ -175,35 +178,25 @@ def enumerate_achievable_points(ch: ChannelInstance, coeff_bound: int) -> RateRe
     if not 1 <= bound <= MAX_COEFF_BOUND:
         raise ValueError(f"coeff_bound must be in [1, {MAX_COEFF_BOUND}]")
 
-    corners = [[max(0.0, r) for r in mmse_sic_plan(ch, order).stream_rates]
-               for order in _PERMUTATIONS]
-    matrices, perms, rates = _scan_box(ch, bound)
-    all_rates = np.concatenate([corners, rates])
+    a, perm, rates, corner = _scan_box(ch, bound)
     constants = _pentagon_constants(ch)
-    outside = ~_inside(constants, all_rates[:, 0], all_rates[:, 1], 1e-9)
+    outside = ~_inside(constants, rates[:, 0], rates[:, 1], 1e-9)
     if outside.any():
-        bad = tuple(all_rates[np.argmax(outside)].tolist())
+        bad = tuple(rates[np.argmax(outside)].tolist())
         raise IfwbError(f"enumerated point {bad} exceeds the capacity pentagon")
 
-    # the corners (A = I, permutation = decode order), then the scan; the
-    # lexsort keys give the order of the (rates, A, permutation) tuples
-    a = np.concatenate([np.eye(2, dtype=np.int64)[None].repeat(2, 0), matrices])
-    perm = np.concatenate([[0, 1], perms])
-    order = np.lexsort((perm, *a.reshape(-1, 4).T[::-1], *all_rates.T[::-1]))
-    r1, r2 = all_rates[order].T.tolist()
+    # drop the other points that are a corner, then sort: the lexsort keys
+    # give the order of the (rates, A, permutation) tuples
+    twin = (np.abs(rates[:, None] - rates[corner]) <= _DEDUP_TOL).all(axis=-1).any(axis=-1)
+    a, perm, rates, corner = (x[corner | ~twin] for x in (a, perm, rates, corner))
+    order = np.lexsort((perm, *a.reshape(-1, 4).T[::-1], *rates.T[::-1]))
+    r1, r2 = rates[order].T.tolist()
     order = order.tolist()
-    # drop the scan points (order[i] >= 2) that are a corner; 2 _DEDUP_TOL allows for rounding
-    twins = {i for x, y in corners
-             for i in range(bisect_left(r1, x - 2 * _DEDUP_TOL),
-                            bisect_right(r1, x + 2 * _DEDUP_TOL))
-             if abs(r2[i] - y) <= _DEDUP_TOL and abs(r1[i] - x) <= _DEDUP_TOL and order[i] >= 2}
-    for i in sorted(twins, reverse=True):
-        del r1[i], r2[i], order[i]
     keep = _kept_positions(r1, r2)
     index = [order[j] for j in keep]
     kept = tuple(
-        RatePoint((r1[j], r2[j]), _SOURCES[i >= 2], tuple(map(tuple, m)), _PERMUTATIONS[k])
-        for j, i, m, k in zip(keep, index, a[index].tolist(), perm[index].tolist())
+        RatePoint((r1[j], r2[j]), _SOURCES[c], tuple(map(tuple, m)), _PERMUTATIONS[k])
+        for j, c, m, k in zip(keep, corner[index].tolist(), a[index].tolist(), perm[index].tolist())
     )
 
     # kept is sorted by rates, so only the later points (best: their largest R2)

@@ -460,6 +460,21 @@ class TestSweep:
         assert "differ in shape" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, message", [
+    ("rates", "--a-matrix", "ifwb: bad --a-matrix: invalid literal for int() with base 10: ''"),
+    ("rates", "--order", "ifwb: bad --order: invalid literal for int() with base 10: ''"),
+    ("rates", "--channel-imag", "ifwb: cannot read channel file : [Errno 2] No such file or directory: ''"),
+    ("sweep", "--schemes", "ifwb: --schemes must name at least one scheme"),
+], ids=["a-matrix", "order", "channel-imag", "schemes"])
+def test_empty_value_is_not_the_default(capsys, ex1_csv, command, flag, message):
+    """An explicit empty value reaches its parser and is an input error, not
+    the value the flag takes when it is left out."""
+    assert main([command, "--channel", ex1_csv, "--snr-db", "15", f"{flag}="]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [message]
+    assert captured.out == ""
+
+
 class TestParserBuiltOnce:
     def test_one_parser_per_process(self):
         from ifwb.cli import build_parser

@@ -13,6 +13,7 @@ from ifwb.rates import (
     _effective_noise,
     _feasible_permutations,
     _monotone,
+    _signed_permutation,
     allocate_rates,
     as_integer_matrix,
     feasible_allocations,
@@ -541,6 +542,29 @@ class TestAllocateRates:
                     assert plan.sum_rate == sum(want)
                     monotone.add(bool(_monotone(np.diag(if_effective_model(ch, a).L))))
         assert monotone == {True, False}  # both kinds of diagonal were covered
+
+    def test_signed_permutation_predicate(self):
+        """Over the trailing two axes of one matrix or a stack (M 1-4): every
+        D P_pi is a signed permutation; a row (1, 1), an entry +-2 and an entry
+        -2**63, whose abs wraps to a negative int64, are not."""
+        for m in (1, 2, 3, 4):
+            eye = np.eye(m, dtype=np.int64)
+            yes = [np.diag(signs) @ eye[list(order)] for order in itertools.permutations(range(m))
+                   for signs in itertools.product((1, -1), repeat=m)]
+            no = []
+            for entry in (2, -2, -2**63):
+                a = eye[::-1].copy()
+                a[0, -1] = entry
+                no.append(a)
+            if m > 1:
+                a = eye.copy()
+                a[0, 1] = 1  # row (1, 1, 0, ...)
+                no.append(a)
+            for a, want in [(a, True) for a in yes] + [(a, False) for a in no]:
+                got = _signed_permutation(a)
+                assert got.shape == () and bool(got) is want
+            got = _signed_permutation(np.stack(yes + no))
+            assert got.tolist() == [True] * len(yes) + [False] * len(no)
 
     def test_sum_identity_with_kz_optimal(self):
         rng = np.random.default_rng(40)

@@ -9,6 +9,7 @@ from ifwb.lattice import int_det
 from ifwb.rates import (
     ChannelInstance,
     _effective_noise,
+    _monotone,
     allocate_rates,
     mmse_sic_plan,
     pseudo_triangularize,
@@ -218,7 +219,7 @@ def _seeded_channels():
 
 # channels where many rate tuples tie exactly: integer entries, parallel
 # columns, and a channel whose A = I plan is not monotone (a plan as plain SIC,
-# which the scan leaves to the SIC corner)
+# which the scan keeps as the -I row, the (0, 1) SIC corner)
 _TIE_CHANNELS = [
     ChannelInstance(np.array([[1.0, 2.0], [3.0, 1.0]]), 100.0),
     ChannelInstance(np.array([[1.0, 1.0], [0.5, 0.5]]), 10.0**1.5),
@@ -233,7 +234,8 @@ class TestBatchedScanMatchesReference:
         "ch, bound",
         [(ChannelInstance(np.array([[np.sqrt(2.0), 1.0]]), 10.0**1.5), 3)]
         + [(ch, 2) for ch in _seeded_channels()]
-        + [(ch, b) for ch in _TIE_CHANNELS for b in (1, 3)],
+        + [(ch, b) for ch in _TIE_CHANNELS for b in (1, 3)]
+        + [(_TIE_CHANNELS[0], 5)],
     )
     def test_points_and_frontier_identical(self, ch, bound):
         reg = enumerate_achievable_points(ch, bound)
@@ -244,36 +246,62 @@ class TestBatchedScanMatchesReference:
                 assert g.rates == w.rates
                 assert (g.A, g.permutation, g.source) == (w.A, w.permutation, w.source)
 
-    def test_identity_is_left_to_the_corners(self):
-        """Where A = I is not monotone it is still a plan (plain SIC), yet the
-        scan holds no exception for it: neither I nor -I is scanned, and its one
-        plan, order (0, 1), is the (0, 1) SIC corner."""
+    def test_signed_permutations_are_scanned_as_the_corners(self):
+        """Where A = I is not monotone it is still a plan (plain SIC), as in
+        rates: -I and -swap are scanned, each with its one plan, and labelled
+        as the SIC corner of that decode order with A = I."""
         ch = _TIE_CHANNELS[-1]
         diag_sq = np.diag(ch.sic_cholesky) ** 2
         assert diag_sq[0] > diag_sq[1]  # A = I is not monotone
         plan = allocate_rates(ch, np.eye(2, dtype=np.int64), (0, 1))
         assert plan.monotone_feasible
-        scanned = {tuple(map(tuple, a)) for a in _scan_box(ch, 1)[0].tolist()}
-        assert ((1, 0), (0, 1)) not in scanned and ((-1, 0), (0, -1)) not in scanned
-        corner = [p for p in enumerate_achievable_points(ch, 1).points if p.permutation == (0, 1)
-                  and p.source == "sic_corner"]
-        assert [p.rates for p in corner] == [plan.stream_rates]
+        a, _, _, signed_permutation = _scan_table(1)
+        assert a[signed_permutation].tolist() == [[[-1, 0], [0, -1]], [[0, -1], [-1, 0]]]
+        corners = [p for p in enumerate_achievable_points(ch, 1).points if p.source == "sic_corner"]
+        assert [(p.A, p.permutation) for p in corners] == [(((1, 0), (0, 1)), (0, 1)),
+                                                            (((1, 0), (0, 1)), (1, 0))]
+        assert corners[0].rates == plan.stream_rates
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5])
+    def test_scan_box_returns_the_two_corners(self, bound):
+        """On channels where neither +-I nor +-swap is monotone, the scan keeps
+        exactly two corner rows, each reported as A = I with its decode order
+        and with max(0, .) of mmse_sic_plan's stream rates bit for bit."""
+        rng = np.random.default_rng([4100, bound])
+        eye, swap = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])
+        signed = np.stack([eye, -eye, swap, -swap])
+        checked = 0
+        while checked < 6:
+            ch = ChannelInstance(rng.standard_normal((int(rng.integers(1, 4)), 2)),
+                                 10.0 ** rng.uniform(0.5, 3.5))
+            _, l, _ = _effective_noise(ch, signed)
+            if _monotone(np.diagonal(l, axis1=1, axis2=2)).any():
+                continue
+            matrices, perms, rates, corner = _scan_box(ch, bound)
+            assert corner.sum() == 2
+            assert matrices[corner].tolist() == [[[1, 0], [0, 1]]] * 2
+            assert perms[corner].tolist() == [0, 1]
+            for order, got in zip(((0, 1), (1, 0)), rates[corner].tolist()):
+                assert got == [max(0.0, r) for r in mmse_sic_plan(ch, order).stream_rates]
+            checked += 1
 
     def test_identity_plan_is_the_sic_corner_bit_for_bit(self):
-        """Why the scan needs no signed permutation: in a stack, I gets per-step
-        rates equal bit for bit to those of the (0, 1) SIC corner, and the swap
-        and its negative those of the (1, 0) corner (-10 to 120 dB, H scaled by
-        1e-3 to 1e3)."""
+        """Why the scan's corners are the SIC corners: in the scan stack, -I
+        gets per-step rates equal bit for bit to those of the (0, 1) SIC corner
+        and -swap those of the (1, 0) corner, as do I and the swap (-10 to
+        120 dB, H scaled by 1e-3 to 1e3)."""
         rng = np.random.default_rng(5000)
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        stack = np.concatenate([_scan_table(1)[1], [np.eye(2), swap, -swap]])
+        _, af, _, signed_permutation = _scan_table(1)
+        stack = np.concatenate([af, [np.eye(2), swap]])
+        rows = np.concatenate([signed_permutation, [True, True]])
         for _ in range(300):
             h = rng.standard_normal((int(rng.integers(1, 4)), 2)) * 10.0 ** rng.uniform(-3, 3)
             ch = ChannelInstance(h, 10.0 ** rng.uniform(-1.0, 12.0))
             _, l, _ = _effective_noise(ch, stack)
-            per_step = (-np.log2(np.diagonal(l[-3:], axis1=1, axis2=2))).tolist()
+            per_step = (-np.log2(np.diagonal(l[rows], axis1=1, axis2=2))).tolist()
             first, second = (list(mmse_sic_plan(ch, order).rates) for order in ((0, 1), (1, 0)))
-            assert per_step == [first, second, second]
+            assert per_step == [first, second, first, second]
 
     def test_dedup_compares_beyond_last_kept_point(self):
         r1, r2 = [1.0, 1.0 + 5e-10], [5.0, 2.0]  # both kept
@@ -334,14 +362,15 @@ class TestRowSignClasses:
 
     @pytest.mark.parametrize("bound", [1, 3, 5])
     def test_scan_table_is_built_once_and_read_only(self, bound):
-        a, af, first_row_nonzero = _scan_table(bound)
+        a, af, first_row_nonzero, signed_permutation = _scan_table(bound)
         assert _scan_table(bound)[0] is a
         reps = _class_representatives(bound)
         nonsingular = reps[:, 0, 0] * reps[:, 1, 1] != reps[:, 0, 1] * reps[:, 1, 0]
         np.testing.assert_array_equal(a, reps[nonsingular])
         np.testing.assert_array_equal(af, a.astype(float))
         np.testing.assert_array_equal(first_row_nonzero, a[:, 0, :] != 0)
-        assert not any(t.flags.writeable for t in (a, af, first_row_nonzero))
+        assert a[signed_permutation].tolist() == [[[-1, 0], [0, -1]], [[0, -1], [-1, 0]]]
+        assert not any(t.flags.writeable for t in (a, af, first_row_nonzero, signed_permutation))
 
     def test_sign_flips_change_no_rate_or_check(self):
         """The premise of the scan: D A gives the same diagonal of L bit for
