@@ -203,11 +203,16 @@ def _json_text(report) -> str:
 
 
 def _write_text(text: str, out_path: str | None) -> None:
-    if out_path:
+    """text to out_path, or to stdout when no path was given; an empty path
+    or one that cannot be written is an input error."""
+    if out_path is None:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _report(ch: ChannelInstance, snr_db: float, results: dict, residuals: dict) -> dict:
@@ -328,7 +333,7 @@ def cmd_region(args) -> int:
     csv_lines += [
         f"{p.rates[0]!r},{p.rates[1]!r},{p.source},{p.det_a}" for p in reg.frontier
     ]
-    if args.csv_out:
+    if args.csv_out is not None:
         _write_text("\n".join(csv_lines) + "\n", args.csv_out)
     return 0
 

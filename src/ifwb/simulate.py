@@ -18,6 +18,12 @@ its chunk arrays once and every chunk writes into them, and it keeps only
 error counts and the effective-noise sums, so it holds one chunk's arrays
 whatever the trial count. trial_decisions runs the same chunk loop and also
 returns every trial's decisions (16 M bytes per trial), for cross-checks.
+
+The chunk loop skips the steps whose result is known without them (scaling
+noise by 1, a zero parity in the slicer, the last step's feedback), so every
+decision and every bit of the effective-noise sums stay as they were: each
+statistic a decision slices comes from the same float operations in the same
+order, which the runs on exact slicing boundaries rely on.
 """
 
 from __future__ import annotations
@@ -91,17 +97,26 @@ class TrialResult:
 # Timed over the link_sim case mix, 2^13 was the fastest of 2^10 to 2^16:
 # 2^12 and 2^14 took 5-8 % longer, 2^16 10 % and 2^10 31 %. With the chunk
 # workspace, in 10 rotating rounds on a 2-core VM, 2^12 and 2^14 took 6 %
-# longer in the median and were faster in 5 and 4 of the 10 rounds.
+# longer in the median and were faster in 5 and 4 of the 10 rounds. It is
+# not re-tuned with the chunk loop's later savings: the per-chunk sums of the
+# effective-noise covariance, and so its last bits, depend on it.
 CHUNK_TRIALS = 1 << 13
 
 
 def _slice_grid(values: np.ndarray, parity) -> np.ndarray:
-    """Round values in place to the nearest point of 2Z + parity, as exact floats."""
-    np.subtract(values, parity, out=values)
-    np.divide(values, 2.0, out=values)
+    """Round values in place to the nearest point of 2Z + parity, as exact floats.
+
+    The value is 2 rint((x - parity) / 2) + parity; halving is a multiply by
+    0.5, which gives the value of the divide by 2. A zero parity skips its
+    subtract and add: they would only turn a -0 result into +0, and no
+    decision depends on the sign of a zero.
+    """
+    if parity:
+        np.subtract(values, parity, out=values)
+    np.multiply(values, 0.5, out=values)
     np.rint(values, out=values)
     np.multiply(values, 2.0, out=values)
-    return np.add(values, parity, out=values)
+    return np.add(values, parity, out=values) if parity else values
 
 
 def _parities(cfg: SimConfig) -> np.ndarray:
@@ -178,14 +193,21 @@ def _run_chunks(cfg: SimConfig, noise_scale: float, model, decode, record=None) 
     _noise_generator's generator, so the chunks reproduce one whole-run draw
     of the indices and then of the noise exactly. With noise_scale 0 no noise
     is drawn and the generator is not placed: noise scaled by 0 would leave
-    the received signal unchanged. The chunk arrays are
+    the received signal unchanged. With noise_scale 1 the noise is added as
+    drawn, since x * 1.0 is x. The channel product takes a contiguous copy
+    of Hᵀ, which numpy hands to BLAS; over two or more trials that gives the
+    bits of numpy's own loop over the transposed view (the tests pin this).
+    A one-trial chunk is a vector-matrix product, whose sums follow the
+    operand's layout, so it keeps the view. The chunk arrays are
     allocated once per run, for min(CHUNK_TRIALS, trials) trials; a short
     last chunk uses contiguous views at their start. Every elementwise step
     and product writes into them with ``out=``, the same operations on the
     same operands as with fresh arrays. Per-stream arrays are M x chunk, so
     each step of ``decode(y, y_eff, v_int)`` works on contiguous rows; it
     fills ``v_int`` with the decided combinations 2k + parity, which are then
-    inverted and sliced per stream.
+    inverted and sliced per stream. The decoders skip the last step's
+    feedback, which no later step reads, and the error counts take one 1-D
+    count per row, not a count along an axis, which sums through a cast.
     ``record(lo, hi, v_int, odd_hat)``, if given, sees each chunk's decided
     combinations and odd stream integers for trials lo to hi. Like the arrays
     passed to ``decode``, they are workspace views that the next chunk
@@ -198,7 +220,7 @@ def _run_chunks(cfg: SimConfig, noise_scale: float, model, decode, record=None) 
     draw = _index_draw(cfg)
     noise_rng = _noise_generator(cfg) if noise_scale else None
     c = cfg.symbol_scale
-    h_t = cfg.ch.H.T
+    h_t = np.ascontiguousarray(cfg.ch.H.T)
     a = cfg.A.astype(float)
     a_inv = np.linalg.inv(cfg.A)
     sym_errors, eq_errors = np.zeros((2, m), dtype=np.int64)
@@ -216,17 +238,19 @@ def _run_chunks(cfg: SimConfig, noise_scale: float, model, decode, record=None) 
             _rows(b, m, t) for b in (y_eff_buf, v_int_buf, v_true_buf, odd_hat_buf, mask_buf))
         np.multiply(draw(t), 2.0, out=odd)
         np.subtract(odd, q - 1, out=odd)  # exact odd integers, trials x M
-        np.matmul(np.multiply(odd, c, out=c_odd), h_t, out=y)
+        np.matmul(np.multiply(odd, c, out=c_odd), h_t if t > 1 else cfg.ch.H.T, out=y)
         if noise_rng is not None:
             noise_rng.standard_normal(out=noise)
-            np.add(y, np.multiply(noise, noise_scale, out=noise), out=y)
+            if noise_scale != 1.0:
+                np.multiply(noise, noise_scale, out=noise)
+            np.add(y, noise, out=y)
         np.matmul(model.B, y.T, out=y_eff)
         decode(y, y_eff, v_int)
         np.matmul(a, odd.T, out=v_true)  # exact small integers
-        eq_errors += np.count_nonzero(np.not_equal(v_int, v_true, out=mask), axis=1)
+        eq_errors += [np.count_nonzero(r) for r in np.not_equal(v_int, v_true, out=mask)]
         _slice_grid(np.matmul(a_inv, v_int, out=odd_hat), 1.0)
         np.clip(odd_hat, 1 - q, q - 1, out=odd_hat)
-        sym_errors += np.count_nonzero(np.not_equal(odd_hat, odd.T, out=mask), axis=1)
+        sym_errors += [np.count_nonzero(r) for r in np.not_equal(odd_hat, odd.T, out=mask)]
         if record is not None:
             record(lo, hi, v_int, odd_hat)
         z = np.subtract(y_eff, np.multiply(v_true, c, out=v_true), out=v_true)
@@ -257,8 +281,9 @@ def _successive_if(cfg: SimConfig):
                 target = np.matmul(model.L[step, :step], w[:step], out=target_buf[:t])
                 np.subtract(row, np.multiply(target, sq, out=target), out=target)
             _slice_grid(np.divide(target, c, out=v_int[step]), parity[step])
-            np.subtract(target, np.multiply(v_int[step], c, out=w[step]), out=w[step])
-            np.divide(w[step], sq * model.L[step, step], out=w[step])
+            if step < m - 1:  # the last w is never read
+                np.subtract(target, np.multiply(v_int[step], c, out=w[step]), out=w[step])
+                np.divide(w[step], sq * model.L[step, step], out=w[step])
 
     return model, decode
 
@@ -286,7 +311,8 @@ def _lr_aided_sic(cfg: SimConfig):
                 target = np.matmul(filters.Cfeedback[step, :step], v_hat[:step], out=target_buf[:t])
                 np.subtract(row, target, out=target)
             _slice_grid(np.divide(target, c, out=v_int[step]), parity[step])
-            np.multiply(v_int[step], c, out=v_hat[step])
+            if step < m - 1:  # the last feedback is never read
+                np.multiply(v_int[step], c, out=v_hat[step])
 
     return model, decode
 

@@ -475,6 +475,49 @@ def test_empty_value_is_not_the_default(capsys, ex1_csv, command, flag, message)
     assert captured.out == ""
 
 
+def _example_argv(tmp_path, ex1_csv, command):
+    """A call of command on example 1 at 15 dB that succeeds."""
+    if command == "simulate":
+        config = tmp_path / "sim.json"
+        config.write_text('{"channel": [[1.4142135623730951, 1.0]], "snr_db": 15, '
+                          '"a_matrix": [[1, 1], [3, 2]], "trials": 100}')
+        return ["simulate", "--config", str(config)]
+    argv = [command, "--channel", ex1_csv, "--snr-db", "15"]
+    return argv + ["--coeff-bound", "2"] if command == "region" else argv
+
+
+_OUTPUT_FLAGS = [(command, "--out") for command in
+                 ("rates", "optimize-a", "region", "simulate", "sweep")] + [("region", "--csv-out")]
+
+
+def _write_to(tmp_path, ex1_csv, command, flag, path):
+    """The exit code of the example call of command with flag=path."""
+    argv = _example_argv(tmp_path, ex1_csv, command)
+    if flag == "--csv-out":  # the JSON report goes to a file, so stdout stays empty
+        argv += ["--out", str(tmp_path / "r.json")]
+    return main(argv + [f"{flag}={path}"])
+
+
+@pytest.mark.parametrize("command, flag", _OUTPUT_FLAGS)
+class TestOutputPath:
+    """An output path that is given is written, or the call exits 2 with one line."""
+
+    def test_empty_path_is_an_input_error(self, capsys, tmp_path, ex1_csv, command, flag):
+        assert _write_to(tmp_path, ex1_csv, command, flag, "") == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "ifwb: cannot write : [Errno 2] No such file or directory: ''"]
+        assert captured.out == ""
+
+    def test_unwritable_path_is_an_input_error(self, capsys, tmp_path, ex1_csv, command, flag):
+        path = str(tmp_path / "missing" / "r.out")
+        assert _write_to(tmp_path, ex1_csv, command, flag, path) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"ifwb: cannot write {path}: [Errno 2] No such file or directory: '{path}'"]
+        assert captured.out == ""
+
+
 class TestParserBuiltOnce:
     def test_one_parser_per_process(self):
         from ifwb.cli import build_parser
@@ -570,14 +613,6 @@ class TestJsonWriter:
     @pytest.mark.parametrize("command", ["rates", "optimize-a", "region", "simulate"])
     def test_reports_are_indented_json(self, tmp_path, ex1_csv, command):
         out = tmp_path / "report.json"
-        if command == "simulate":
-            config = tmp_path / "sim.json"
-            config.write_text('{"channel": [[1.4142135623730951, 1.0]], "snr_db": 15, '
-                              '"a_matrix": [[1, 1], [3, 2]], "trials": 100}')
-            argv = ["simulate", "--config", str(config)]
-        else:
-            argv = [command, "--channel", ex1_csv, "--snr-db", "15"]
-            argv += ["--coeff-bound", "2"] if command == "region" else []
-        assert main(argv + ["--out", str(out)]) == 0
+        assert main(_example_argv(tmp_path, ex1_csv, command) + ["--out", str(out)]) == 0
         text = out.read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), indent=2) + "\n"

@@ -368,23 +368,31 @@ def _assert_matches_reference(run, cfg, noise_scale, reference):
     assert_same_counts(run(cfg, noise_scale), want, ktilde_rtol=1e-12)
 
 
+# around the second and sixth chunk boundaries (16383 to 49159 trials)
+_BOUNDARY_CASES = [(1, 3, 4), (2 * CHUNK_TRIALS - 1, 2, 16), (2 * CHUNK_TRIALS, 4, 6),
+                   (2 * CHUNK_TRIALS + 1, 1, 2), (6 * CHUNK_TRIALS + 7, 8, 4)]
+# 1 adds the noise as drawn, the others scale it first
+_NOISE_SCALES = [0.0, 0.5, 1.0, 2.0]
+
+
 class TestChunkedMatchesMonolithic:
     """Chunked runs make exactly the decisions of one whole-run pass."""
 
     @pytest.mark.parametrize("run, reference", _DECODERS)
-    @pytest.mark.parametrize(
-        "trials, m, pam",
-        # around the second and sixth chunk boundaries (16383 to 49159 trials)
-        [(1, 3, 4), (2 * CHUNK_TRIALS - 1, 2, 16), (2 * CHUNK_TRIALS, 4, 6),
-         (2 * CHUNK_TRIALS + 1, 1, 2), (6 * CHUNK_TRIALS + 7, 8, 4)],
-    )
+    @pytest.mark.parametrize("trials, m, pam", _BOUNDARY_CASES)
     def test_at_chunk_boundaries(self, run, reference, trials, m, pam):
         cfg = dataclasses.replace(_oracle_cfg(m, pam, seed=trials), trials=trials)
-        for noise_scale in (0.0, 1.0):
+        for noise_scale in _NOISE_SCALES:
             _assert_matches_reference(run, cfg, noise_scale, reference)
 
+    def test_boundary_cases_cover_one_stream_and_both_parities(self):
+        """The slicer skips the parity steps of an even row, so both kinds are run."""
+        cfgs = [_oracle_cfg(m, pam, seed=trials) for trials, m, pam in _BOUNDARY_CASES]
+        assert 1 in [cfg.ch.num_streams for cfg in cfgs]
+        assert {0, 1} <= set(np.concatenate([simulate._parities(cfg) for cfg in cfgs]).tolist())
+
     @pytest.mark.parametrize("run, reference", _DECODERS)
-    @pytest.mark.parametrize("noise_scale", [0.0, 1.0])
+    @pytest.mark.parametrize("noise_scale", _NOISE_SCALES)
     @pytest.mark.parametrize("m", range(1, 9))
     @pytest.mark.parametrize("pam", [2, 4, 6, 16, 2**16, 2**31])
     def test_many_small_chunks(self, monkeypatch, run, reference, noise_scale, m, pam):
@@ -409,6 +417,43 @@ class TestChunkedMatchesMonolithic:
         _assert_matches_reference(run, cfg, 0.0, reference)
         with pytest.raises(AssertionError, match="noise generator was placed"):
             run(cfg, 1.0)
+
+
+class TestReceivedSignal:
+    """Each chunk's H x has the bits of the product with the transposed view
+    Hᵀ, the operand of the whole-run simulator, also for a one-trial chunk."""
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (3, 5), (5, 3), (8, 8)])
+    def test_chunk_products_match_transposed_view(self, monkeypatch, m, n):
+        chunk, trials = 5, 11  # the last chunk is one trial
+        monkeypatch.setattr(simulate, "CHUNK_TRIALS", chunk)
+        ch = ChannelInstance(np.random.default_rng([m, n]).standard_normal((n, m)), 100.0)
+        cfg = SimConfig(ch=ch, A=np.eye(m), pam_points=16, trials=trials, seed=m * n)
+        x = cfg.symbol_scale * _mono_draw(cfg, 0.0)[0].astype(float)
+        model, decode = simulate._successive_if(cfg)
+        seen = []
+
+        def spy(y, y_eff, v_int):
+            seen.append(y.copy())
+            decode(y, y_eff, v_int)
+
+        simulate._run_chunks(cfg, 0.0, model, spy)
+        assert [len(y) for y in seen] == [5, 5, 1]
+        for lo, y in zip(range(0, trials, chunk), seen):
+            assert np.array_equal(y, x[lo:lo + len(y)] @ ch.H.T)
+
+
+@pytest.mark.parametrize("parity", [np.int64(0), np.int64(1), 1.0])
+def test_slice_grid_is_the_rounding_formula(parity):
+    """_slice_grid gives 2 rint((x - p) / 2) + p value for value (a zero may
+    differ in sign only), on random values, exact half-integers and +-0."""
+    rng = np.random.default_rng(5)
+    halves = np.arange(-40, 41) / 2.0
+    x = np.concatenate([rng.normal(0.0, 30.0, 5000), rng.uniform(-3.0, 3.0, 5000),
+                        halves, halves + parity, [0.0, -0.0, 1e-300, -1e-300]])
+    want = 2.0 * np.rint((x - parity) / 2.0) + parity
+    got = simulate._slice_grid(x.copy(), parity)
+    assert np.array_equal(got, want)
 
 
 class TestChunkSizeInvariance:

@@ -39,7 +39,7 @@ def test_sim_identity_writes_one_line_per_run(tmp_path):
     lines = [json.loads(line) for line in out.read_text().splitlines()]
     floats = [json.loads(line) for line in (tmp_path / "sim.floats.jsonl").read_text().splitlines()]
     decoders = ("run_successive_if_trials", "run_lr_aided_sic_trials")
-    runs = [(i, d, s) for i in range(2) for d in decoders for s in (0.0, 1.0)]
+    runs = [(i, d, s) for i in range(2) for d in decoders for s in (0.0, 0.5, 1.0)]
     assert [(x["i"], x["decoder"], x["noise_scale"]) for x in lines] == runs
     keys = ("seed", "i", "decoder", "noise_scale")
     assert [[f[k] for k in keys] for f in floats] == [[x[k] for k in keys] for x in lines]

@@ -7,8 +7,8 @@ Config i of seed s comes from default_rng([779, s]): M 1-8, N 1-9, 0-40 dB,
 PAM 2/4/6/16 and 1 to 3 * 2^14 trials, so runs cross the chunk boundaries
 of any chunk size up to 2^14. Even i use the KZ-exact A; odd i a random
 full-rank A with entries in [-2, 2], whose inverse is not an integer matrix.
-Each config is run through both decoders at noise_scale 0 and 1 (1200 runs
-with the defaults).
+Each config is run through both decoders at noise_scale 0, 0.5 and 1 (1800
+runs with the defaults); 0.5 takes the simulator's scaled-noise branch.
 
 OUT.jsonl holds each run's inputs, its per-stream symbol and per-step
 equation error counts, and the sha256 of its decisions (the trials x M int64
@@ -68,7 +68,7 @@ def run_cases(lib, seed, count):
         cfg = sim.SimConfig(ch=ch, A=a, pam_points=pam, trials=trials, seed=run_seed)
         for name in ("successive_if", "lr_aided_sic"):
             decoder = f"run_{name}_trials"
-            for noise_scale in (0.0, 1.0):
+            for noise_scale in (0.0, 0.5, 1.0):
                 line = {"seed": seed, "i": i, "m": m, "n": n, "snr_db": snr_db, "pam": pam,
                         "trials": trials, "run_seed": run_seed, "A": a.tolist(),
                         "decoder": decoder, "noise_scale": noise_scale}
