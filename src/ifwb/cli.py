@@ -14,8 +14,11 @@ digits on floats; region and sweep also emit CSV for plotting.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import functools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -37,7 +40,7 @@ from .rates import (
     waterfilling_capacity,
     white_input_capacity,
 )
-from .region import enumerate_achievable_points
+from .region import RatePoint, enumerate_achievable_points
 from .simulate import SimConfig, run_successive_if_trials
 
 SCHEMES = ("zf-baseline", "mmse-sic", "if", "s-if")
@@ -142,9 +145,47 @@ def _one_based(perm) -> list[int]:
     return [int(i) + 1 for i in perm]
 
 
+def _point_dict(p: RatePoint) -> dict:
+    """A rate point as the region report holds it, with a one-based permutation."""
+    return {
+        "r1": p.rates[0],
+        "r2": p.rates[1],
+        "source": p.source,
+        "a": [list(row) for row in p.A],
+        "det_a": p.det_a,
+        "permutation": _one_based(p.permutation),
+    }
+
+
+@functools.cache
+def _point_template(newline: str) -> str:
+    """The text of a _point_dict where its lines start with newline, with a %s
+    slot for each of its ten scalars; one template per indentation."""
+    slots = {"r1": 0, "r2": 0, "source": 0, "a": [[0, 0], [0, 0]], "det_a": 0,
+             "permutation": [0, 0]}
+    return json.dumps(slots, indent=2).replace("0", "%s").replace("\n", newline)
+
+
+def _write_point(p: RatePoint, newline: str, parts: list) -> None:
+    """Append _point_dict(p) as _json_write does, through _point_template when
+    every field has the type and shape it holds: exact finite float rates, a
+    str source, and a 2x2 A and a two-entry permutation of exact ints, all in
+    tuples. Any other point is written through its dict."""
+    rates, a, perm = p.rates, p.A, p.permutation
+    if (type(rates) is type(a) is type(perm) is tuple and len(rates) == len(a) == len(perm) == 2
+            and type(a[0]) is type(a[1]) is tuple and len(a[0]) == len(a[1]) == 2):
+        (r1, r2), ((a00, a01), (a10, a11)), (p0, p1) = rates, a, perm
+        if (type(r1) is type(r2) is float and r1 - r1 == r2 - r2 == 0.0  # finite
+                and type(p.source) is str and type(a00) is type(a01) is type(a10) is type(a11)
+                is type(p0) is type(p1) is int):
+            return parts.append(_point_template(newline) % (
+                r1, r2, _json_str(p.source), a00, a01, a10, a11, p.det_a, p0 + 1, p1 + 1))
+    _json_write(_point_dict(p), newline, parts)
+
+
 def _json_write(obj, newline: str, parts: list) -> None:
     """Append obj to parts as json.dumps(obj, indent=2) writes it where its lines
-    start with newline.
+    start with newline; a RatePoint is written as its _point_dict.
 
     A dict with str keys, a list or a tuple is written item by item; the loop
     over its items appends the text of an exact finite float, int or str
@@ -154,6 +195,8 @@ def _json_write(obj, newline: str, parts: list) -> None:
     kind = type(obj)
     if kind is list or kind is tuple:
         keys, values = None, obj
+    elif kind is RatePoint:
+        return _write_point(obj, newline, parts)
     elif kind is dict and all(type(k) is str for k in obj):
         keys, values = [_json_str(k) + ": " for k in obj], obj.values()
     elif kind is float and obj - obj == 0.0:  # finite
@@ -188,7 +231,8 @@ def _json_write(obj, newline: str, parts: list) -> None:
 
 
 def _json_text(report) -> str:
-    """The report as json.dumps(report, indent=2) + "\n" writes it, byte for byte.
+    """The report as json.dumps(report, indent=2) + "\n" writes it, byte for byte,
+    with each RatePoint in it taken as its _point_dict.
 
     With indent set, json.dumps cannot use its C encoder; this writer handles
     the exact float, int, str, dict, list and tuple that reports are made of,
@@ -202,17 +246,43 @@ def _json_text(report) -> str:
     return "".join(parts)
 
 
-def _write_text(text: str, out_path: str | None) -> None:
-    """text to out_path, or to stdout when no path was given; an empty path
-    or one that cannot be written is an input error."""
+def _write_text(text: str, out_path: str | None, *files: tuple) -> None:
+    """text to out_path, or to stdout when no path was given, and the text of
+    each further (text, path) pair to its path when that is not None.
+
+    An empty path is an input error before any path is opened. A path that
+    cannot be opened is an input error, and then nothing is written: with two
+    or more paths, each is opened once before any text is written, and the
+    files this call created are removed if one fails. The texts are then
+    written in turn, each file truncated as it is opened, so a path given
+    twice holds the last text.
+    """
+    files = [(t, path) for t, path in ((text, out_path), *files) if path is not None]
+    if any(path == "" for _, path in files):
+        missing = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), "")
+        raise CliError(f"cannot write : {missing}")
+    held, created = [], []  # kept open until the texts are written, so a pipe sees no end
+    try:
+        if len(files) > 1:  # a single path fails before anything is written anyway
+            for _, path in files:
+                try:
+                    held.append(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+                    created.append(path)
+                except FileExistsError:
+                    held.append(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+        for t, path in files:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(t)
+    except OSError as exc:
+        for p in created:
+            with contextlib.suppress(OSError):
+                os.remove(p)
+        raise CliError(f"cannot write {path}: {exc}") from exc
+    finally:
+        for fd in held:
+            os.close(fd)
     if out_path is None:
         sys.stdout.write(text)
-        return
-    try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise CliError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _report(ch: ChannelInstance, snr_db: float, results: dict, residuals: dict) -> dict:
@@ -311,30 +381,18 @@ def cmd_region(args) -> int:
     if args.coeff_bound is None or args.coeff_bound < 1:
         raise CliError("--coeff-bound must be a positive integer")
     reg = enumerate_achievable_points(ch, args.coeff_bound)
-
-    def point_dict(p):
-        return {
-            "r1": p.rates[0],
-            "r2": p.rates[1],
-            "source": p.source,
-            "a": [list(row) for row in p.A],
-            "det_a": p.det_a,
-            "permutation": _one_based(p.permutation),
-        }
-
     results = {
         "coeff_bound": args.coeff_bound,
-        "capacity_vertices": [list(v) for v in reg.capacity_vertices],
-        "points": [point_dict(p) for p in reg.points],
-        "frontier": [point_dict(p) for p in reg.frontier],
+        "capacity_vertices": reg.capacity_vertices,
+        "points": reg.points,
+        "frontier": reg.frontier,
     }
-    _write_text(_json_text(_report(ch, snr_db, results, {})), args.out)
     csv_lines = ["R1,R2,source,detA"]
     csv_lines += [
         f"{p.rates[0]!r},{p.rates[1]!r},{p.source},{p.det_a}" for p in reg.frontier
     ]
-    if args.csv_out is not None:
-        _write_text("\n".join(csv_lines) + "\n", args.csv_out)
+    _write_text(_json_text(_report(ch, snr_db, results, {})), args.out,
+                ("\n".join(csv_lines) + "\n", args.csv_out))
     return 0
 
 

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import EXAMPLE1_H, EXAMPLE1_SNR_DB
+from ifwb import __version__
 from ifwb.cli import _json_text, main
+from ifwb.rates import ChannelInstance
+from ifwb.region import RatePoint, enumerate_achievable_points
+from test_region import _TIE_CHANNELS, _seeded_channels
 
 ANCHOR_TOL = 5e-4
 
@@ -518,6 +523,54 @@ class TestOutputPath:
         assert captured.out == ""
 
 
+class TestRegionOutputPaths:
+    """Both region paths are opened before either is written: a call that exits 2
+    on one of them leaves no file it created and truncates none."""
+
+    @staticmethod
+    def region(tmp_path, ex1_csv, *flags):
+        return main(_example_argv(tmp_path, ex1_csv, "region") + list(flags))
+
+    @pytest.mark.parametrize("empty", ["--out", "--csv-out"])
+    def test_empty_path_writes_nothing(self, capsys, tmp_path, ex1_csv, empty):
+        other = {"--out": "--csv-out", "--csv-out": "--out"}[empty]
+        written = tmp_path / "written"
+        assert self.region(tmp_path, ex1_csv, f"{other}={written}", f"{empty}=") == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "ifwb: cannot write : [Errno 2] No such file or directory: ''"]
+        assert captured.out == ""
+        assert not written.exists()
+
+    def test_unopenable_csv_path_removes_the_created_report(self, capsys, tmp_path, ex1_csv):
+        report, csv_path = tmp_path / "r.json", str(tmp_path / "missing" / "x.csv")
+        assert self.region(tmp_path, ex1_csv, "--out", str(report), "--csv-out", csv_path) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"ifwb: cannot write {csv_path}: [Errno 2] No such file or directory: '{csv_path}'"]
+        assert not report.exists()
+
+    def test_unopenable_csv_path_leaves_an_existing_report(self, capsys, tmp_path, ex1_csv):
+        report = tmp_path / "r.json"
+        report.write_text("an earlier report\n")
+        assert self.region(tmp_path, ex1_csv, "--out", str(report),
+                           "--csv-out", str(tmp_path / "missing" / "x.csv")) == 2
+        capsys.readouterr()
+        assert report.read_text() == "an earlier report\n"
+
+    def test_unopenable_csv_path_keeps_stdout_empty(self, capsys, tmp_path, ex1_csv):
+        assert self.region(tmp_path, ex1_csv, "--csv-out", str(tmp_path / "missing" / "x.csv")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+
+    def test_one_path_for_both_holds_the_csv(self, capsys, tmp_path, ex1_csv):
+        """As when each is written in turn: the CSV is written last."""
+        both, csv_path = tmp_path / "both", tmp_path / "frontier.csv"
+        assert self.region(tmp_path, ex1_csv, "--out", str(both), "--csv-out", str(both)) == 0
+        assert self.region(tmp_path, ex1_csv, "--csv-out", str(csv_path)) == 0
+        capsys.readouterr()
+        assert both.read_text() == csv_path.read_text()
+
+
 class TestParserBuiltOnce:
     def test_one_parser_per_process(self):
         from ifwb.cli import build_parser
@@ -616,3 +669,128 @@ class TestJsonWriter:
         assert main(_example_argv(tmp_path, ex1_csv, command) + ["--out", str(out)]) == 0
         text = out.read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def _point_form(p):
+    """A rate point as the region report writes it: this dict, one-based permutation."""
+    return {
+        "r1": p.rates[0],
+        "r2": p.rates[1],
+        "source": p.source,
+        "a": [list(row) for row in p.A],
+        "det_a": p.det_a,
+        "permutation": [int(i) + 1 for i in p.permutation],
+    }
+
+
+def _dict_form(value):
+    """value with each RatePoint in it replaced by its _point_form."""
+    if type(value) is RatePoint:
+        return _point_form(value)
+    if isinstance(value, (list, tuple)):
+        return [_dict_form(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _dict_form(v) for k, v in value.items()}
+    return value
+
+
+def _assert_written_as_its_dict_form(value):
+    """_json_text(value) is json.dumps of its dict form, or raises the same
+    TypeError as json.dumps."""
+    form = _dict_form(value)
+    try:
+        want = json.dumps(form, indent=2) + "\n"
+    except TypeError as exc:
+        with pytest.raises(TypeError) as got:
+            _json_text(value)
+        assert str(got.value) == str(exc)
+    else:
+        assert _json_text(value) == want
+
+
+_REGION_CHANNELS = (
+    [("example1", EXAMPLE1_H, EXAMPLE1_SNR_DB)]
+    + [(f"seeded{i}", ch.H, float(10.0 * np.log10(ch.snr))) for i, ch in enumerate(_seeded_channels())]
+    + [(f"tie{i}", ch.H, float(10.0 * np.log10(ch.snr))) for i, ch in enumerate(_TIE_CHANNELS)]
+)
+
+
+_EXACT_RATE = st.sampled_from([0.0, -0.0, 5e-324, 2.5e-310, 1.7976931348623157e308, -1e300])
+_RATE = st.one_of(
+    _EXACT_RATE,
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.integers(-2, 2),
+    st.booleans(),
+)
+_ENTRY = st.one_of(st.integers(-5, 5), st.booleans(), st.integers(-5, 5).map(np.int64))
+
+
+def _sequences(items, sizes):
+    lists = st.lists(items, min_size=sizes[0], max_size=sizes[1])
+    return lists.map(tuple) | lists
+
+
+_SMALL = st.integers(-5, 5)
+_POINT_FIELDS = {  # name: (what the template writes, anything else)
+    "rates": (st.tuples(*[_EXACT_RATE | st.floats(allow_nan=False, allow_infinity=False)] * 2),
+              st.tuples(_RATE, _RATE) | _sequences(_RATE, (2, 3))),
+    "source": (st.sampled_from(["successive_if", "sic_corner"]),
+               st.text(max_size=3) | st.none() | st.integers(0, 1)),
+    "A": (st.tuples(*[st.tuples(_SMALL, _SMALL)] * 2),
+          st.tuples(*[st.tuples(_ENTRY, _ENTRY)] * 2) | _sequences(_sequences(_ENTRY, (2, 3)), (2, 3))),
+    "permutation": (st.sampled_from([(0, 1), (1, 0)]), _sequences(_ENTRY, (1, 3))),
+}
+
+
+@st.composite
+def _rate_points(draw):
+    """A point the template writes (exact finite float rates, 0.0, subnormal and
+    huge among them, a 2x2 int A), or one with one or two fields of another
+    kind: rates that are NaN, infinite, np.float64, int or bool, entries that
+    are bool or np.int64, A of 2-3 rows of 2-3 entries, permutations of 1-3
+    entries, lists for tuples, other sources."""
+    values = {name: draw(template) for name, (template, _) in _POINT_FIELDS.items()}
+    for name in draw(st.sets(st.sampled_from(sorted(_POINT_FIELDS)), max_size=2)):
+        values[name] = draw(_POINT_FIELDS[name][1])
+    return RatePoint(**values)
+
+
+class TestRatePointTemplate:
+    """The region report writes each RatePoint through a template, and the text
+    is that of the point's dict form whatever the point holds, at every
+    indentation depth."""
+
+    @pytest.mark.parametrize("bound", range(1, 6))
+    @pytest.mark.parametrize("name, h, snr_db", _REGION_CHANNELS, ids=[c[0] for c in _REGION_CHANNELS])
+    def test_region_report_is_its_dict_form(self, tmp_path, name, h, snr_db, bound):
+        channel, out = tmp_path / "h.csv", tmp_path / "r.json"
+        channel.write_text("".join(",".join(map(repr, row)) + "\n" for row in h.tolist()))
+        argv = ["region", "--channel", str(channel), f"--snr-db={snr_db!r}",
+                "--coeff-bound", str(bound), "--out", str(out)]
+        assert main(argv) == 0
+        ch = ChannelInstance(np.array(h.tolist()), 10.0 ** (snr_db / 10.0))
+        reg = enumerate_achievable_points(ch, bound)
+        report = {
+            "channel": {"rows": ch.num_receive, "cols": 2, "entries": ch.H.tolist()},
+            "snr_db": snr_db,
+            "results": {
+                "coeff_bound": bound,
+                "capacity_vertices": [list(v) for v in reg.capacity_vertices],
+                "points": [_point_form(p) for p in reg.points],
+                "frontier": [_point_form(p) for p in reg.frontier],
+            },
+            "residuals": {},
+            "version": __version__,
+        }
+        assert any(p.source == "sic_corner" for p in reg.points)
+        assert out.read_text(encoding="utf-8") == json.dumps(report, indent=2) + "\n"
+
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(points=st.lists(_rate_points(), min_size=1, max_size=3), depth=st.integers(0, 4))
+    def test_hand_built_points(self, points, depth):
+        value = points
+        for level in range(depth):
+            value = {"level": level, "points": value} if level % 2 else [value, level]
+        _assert_written_as_its_dict_form(value)

@@ -6,6 +6,8 @@ import runpy
 
 import numpy as np
 
+from ifwb.simulate import CHUNK_TRIALS
+
 TOOLS = os.path.join(os.path.dirname(__file__), "..", "tools")
 TOOL = os.path.join(TOOLS, "lattice_identity.py")
 
@@ -39,8 +41,10 @@ def test_sim_identity_writes_one_line_per_run(tmp_path):
     lines = [json.loads(line) for line in out.read_text().splitlines()]
     floats = [json.loads(line) for line in (tmp_path / "sim.floats.jsonl").read_text().splitlines()]
     decoders = ("run_successive_if_trials", "run_lr_aided_sic_trials")
-    runs = [(i, d, s) for i in range(2) for d in decoders for s in (0.0, 0.5, 1.0)]
+    configs = 2 + 8  # the uniform configs, then those whose last chunk is one trial
+    runs = [(i, d, s) for i in range(configs) for d in decoders for s in (0.0, 0.5, 1.0)]
     assert [(x["i"], x["decoder"], x["noise_scale"]) for x in lines] == runs
+    assert [x["trials"] for x in lines[2 * 6::6]] == [1] * 4 + [CHUNK_TRIALS + 1] * 4
     keys = ("seed", "i", "decoder", "noise_scale")
     assert [[f[k] for k in keys] for f in floats] == [[x[k] for k in keys] for x in lines]
     for line, f in zip(lines, floats):

@@ -5,9 +5,12 @@
 
 Config i of seed s comes from default_rng([779, s]): M 1-8, N 1-9, 0-40 dB,
 PAM 2/4/6/16 and 1 to 3 * 2^14 trials, so runs cross the chunk boundaries
-of any chunk size up to 2^14. Even i use the KZ-exact A; odd i a random
+of any chunk size up to 2^14. After them come LAST_CHUNK_CONFIGS configs
+drawn alike from default_rng([779, s, 1]), half with 1 trial and half with
+simulate.CHUNK_TRIALS + 1, so a run ends in a one-trial chunk, which the
+uniform draw almost never gives. Even i use the KZ-exact A; odd i a random
 full-rank A with entries in [-2, 2], whose inverse is not an integer matrix.
-Each config is run through both decoders at noise_scale 0, 0.5 and 1 (1800
+Each config is run through both decoders at noise_scale 0, 0.5 and 1 (1944
 runs with the defaults); 0.5 takes the simulator's scaled-noise branch.
 
 OUT.jsonl holds each run's inputs, its per-stream symbol and per-step
@@ -39,6 +42,7 @@ import numpy as np
 
 PAM_POINTS = (2, 4, 6, 16)
 MAX_TRIALS = 3 << 14
+LAST_CHUNK_CONFIGS = 8
 
 
 def random_full_rank(rng, m):
@@ -54,14 +58,19 @@ def digest(arr):
 
 
 def run_cases(lib, seed, count):
-    rng = np.random.default_rng([779, seed])
     sim = lib.simulate
-    for i in range(count):
+    uniform = np.random.default_rng([779, seed])
+    last_chunk = np.random.default_rng([779, seed, 1])
+    last_chunk_trials = (1, sim.CHUNK_TRIALS + 1)
+    for i in range(count + LAST_CHUNK_CONFIGS):
+        rng = uniform if i < count else last_chunk
         m = int(rng.integers(1, 9))
         n = int(rng.integers(1, 10))
         snr_db = float(rng.uniform(0.0, 40.0))
         pam = int(rng.choice(PAM_POINTS))
         trials = int(rng.integers(1, MAX_TRIALS + 1))
+        if i >= count:  # drawn as the others, then set: 1 trial, then CHUNK_TRIALS + 1
+            trials = last_chunk_trials[2 * (i - count) // LAST_CHUNK_CONFIGS]
         run_seed = int(rng.integers(1 << 31))
         ch = lib.rates.ChannelInstance(rng.standard_normal((n, m)), 10.0 ** (snr_db / 10.0))
         a = random_full_rank(rng, m) if i % 2 else lib.rates.optimal_a(ch, "kz_exact")
