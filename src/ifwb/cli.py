@@ -145,67 +145,37 @@ def _one_based(perm) -> list[int]:
     return [int(i) + 1 for i in perm]
 
 
-def _point_dict(p: RatePoint) -> dict:
-    """A rate point as the region report holds it, with a one-based permutation."""
-    return {
-        "r1": p.rates[0],
-        "r2": p.rates[1],
-        "source": p.source,
-        "a": [list(row) for row in p.A],
-        "det_a": p.det_a,
-        "permutation": _one_based(p.permutation),
-    }
-
-
 @functools.cache
 def _point_template(newline: str) -> str:
-    """The text of a _point_dict where its lines start with newline, with a %s
-    slot for each of its ten scalars; one template per indentation."""
+    """A RatePoint as the region report writes it, where its lines start with
+    newline: this dict's json.dumps text with a %s slot for each of its ten
+    scalars, the permutation one-based. One template per indentation."""
     slots = {"r1": 0, "r2": 0, "source": 0, "a": [[0, 0], [0, 0]], "det_a": 0,
              "permutation": [0, 0]}
     return json.dumps(slots, indent=2).replace("0", "%s").replace("\n", newline)
 
 
-def _write_point(p: RatePoint, newline: str, parts: list) -> None:
-    """Append _point_dict(p) as _json_write does, through _point_template when
-    every field has the type and shape it holds: exact finite float rates, a
-    str source, and a 2x2 A and a two-entry permutation of exact ints, all in
-    tuples. Any other point is written through its dict."""
-    rates, a, perm = p.rates, p.A, p.permutation
-    if (type(rates) is type(a) is type(perm) is tuple and len(rates) == len(a) == len(perm) == 2
-            and type(a[0]) is type(a[1]) is tuple and len(a[0]) == len(a[1]) == 2):
-        (r1, r2), ((a00, a01), (a10, a11)), (p0, p1) = rates, a, perm
-        if (type(r1) is type(r2) is float and r1 - r1 == r2 - r2 == 0.0  # finite
-                and type(p.source) is str and type(a00) is type(a01) is type(a10) is type(a11)
-                is type(p0) is type(p1) is int):
-            return parts.append(_point_template(newline) % (
-                r1, r2, _json_str(p.source), a00, a01, a10, a11, p.det_a, p0 + 1, p1 + 1))
-    _json_write(_point_dict(p), newline, parts)
-
-
 def _json_write(obj, newline: str, parts: list) -> None:
     """Append obj to parts as json.dumps(obj, indent=2) writes it where its lines
-    start with newline; a RatePoint is written as its _point_dict.
+    start with newline; a RatePoint is written through _point_template.
 
     A dict with str keys, a list or a tuple is written item by item; the loop
     over its items appends the text of an exact finite float, int or str
-    itself and recurses only into the other items.
+    itself and recurses only into the other items. A RatePoint holds what
+    region.enumerate_achievable_points makes: two finite float rates, a str
+    source, a 2x2 A and a permutation of ints, all in tuples.
     """
     append = parts.append
     kind = type(obj)
     if kind is list or kind is tuple:
         keys, values = None, obj
     elif kind is RatePoint:
-        return _write_point(obj, newline, parts)
+        (r1, r2), ((a00, a01), (a10, a11)), (p0, p1) = obj.rates, obj.A, obj.permutation
+        return append(_point_template(newline) % (
+            r1, r2, _json_str(obj.source), a00, a01, a10, a11, obj.det_a, p0 + 1, p1 + 1))
     elif kind is dict and all(type(k) is str for k in obj):
         keys, values = [_json_str(k) + ": " for k in obj], obj.values()
-    elif kind is float and obj - obj == 0.0:  # finite
-        return append(float.__repr__(obj))
-    elif kind is int:
-        return append(int.__repr__(obj))
-    elif kind is str:
-        return append(_json_str(obj))
-    else:  # bool, None, NaN, infinities, subclasses such as np.float64, other keys
+    else:  # scalars, subclasses such as np.float64, other keys
         return append(json.dumps(obj, indent=2).replace("\n", newline))
     if not obj:
         return append("[]" if keys is None else "{}")
@@ -232,7 +202,7 @@ def _json_write(obj, newline: str, parts: list) -> None:
 
 def _json_text(report) -> str:
     """The report as json.dumps(report, indent=2) + "\n" writes it, byte for byte,
-    with each RatePoint in it taken as its _point_dict.
+    with each RatePoint in it written through _point_template.
 
     With indent set, json.dumps cannot use its C encoder; this writer handles
     the exact float, int, str, dict, list and tuple that reports are made of,
@@ -378,8 +348,8 @@ def cmd_optimize_a(args) -> int:
 
 def cmd_region(args) -> int:
     ch, snr_db = _load_channel(args)
-    if args.coeff_bound is None or args.coeff_bound < 1:
-        raise CliError("--coeff-bound must be a positive integer")
+    if args.coeff_bound is None:  # the library checks its range
+        raise CliError("--coeff-bound is required")
     reg = enumerate_achievable_points(ch, args.coeff_bound)
     results = {
         "coeff_bound": args.coeff_bound,

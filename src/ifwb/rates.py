@@ -18,6 +18,7 @@ Rates are in bits per real channel use; logs are base 2 throughout.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -56,6 +57,12 @@ class ChannelInstance:
         snr = float(self.snr)
         if not (math.isfinite(snr) and snr > 0):
             raise ValueError(f"snr must be a positive finite number, got {self.snr}")
+        peak = float(np.abs(h).max())
+        if snr * peak * peak > sys.float_info.max:  # Python floats: inf, no warning
+            raise ValueError(
+                f"snr * max|H_ij|^2 = {snr!r} * {peak!r}^2 is beyond the float range "
+                f"(largest float {sys.float_info.max!r})"
+            )
         object.__setattr__(self, "H", h.copy())
         object.__setattr__(self, "snr", snr)
         self.H.setflags(write=False)
@@ -211,7 +218,7 @@ def mmse_sic_plan(ch: ChannelInstance, decode_order=None) -> SicPlan:
     g = if_effective_model(ch, np.eye(m, dtype=np.int64)[list(order)]).L
     diag = np.diag(g)
     assert np.all(diag > 0) and np.all(diag <= 1.0 + 1e-12), "g_mm must lie in (0, 1]"
-    rates = tuple(float(-np.log2(d)) for d in diag)
+    rates = _step_rates(diag)
     stream_rates = [0.0] * m
     for step, stream in enumerate(order):
         stream_rates[stream] = rates[step]
@@ -339,6 +346,11 @@ class SuccessiveIfRates:
     det_gap: float  # log2 |det A|
 
 
+def _step_rates(diag: np.ndarray) -> tuple:
+    """The per-step rates -log2 l_mm of a Cholesky diagonal, as floats."""
+    return tuple(float(-np.log2(d)) for d in diag)
+
+
 def if_rates(ch: ChannelInstance, a) -> IfRates:
     """Parallel IF rates (1/2) log2(snr / Ktilde_mm) per equation.
 
@@ -364,8 +376,7 @@ def successive_if_rates(ch: ChannelInstance, a) -> SuccessiveIfRates:
     information minus log2|det A|.
     """
     model = if_effective_model(ch, a)
-    diag = np.diag(model.L)
-    per_step = tuple(float(-np.log2(d)) for d in diag)
+    per_step = _step_rates(np.diag(model.L))
     return SuccessiveIfRates(
         per_step=per_step,
         symmetric_total=float(len(per_step) * min(per_step)),
@@ -470,7 +481,7 @@ def _allocation_plans(model: EffectiveNoiseModel, perms) -> list[AllocationPlan]
     """
     m = model.A.shape[0]
     diag = np.diag(model.L)
-    per_step = tuple(float(-np.log2(d)) for d in diag)
+    per_step = _step_rates(diag)
     # the one exception to the monotone rule: a signed permutation is plain SIC, always a plan
     feasible = bool(_monotone(diag)) or bool(_signed_permutation(model.A))
     sym = max(0.0, min(per_step))

@@ -39,6 +39,22 @@ def _error_gram(ch):
     return np.linalg.inv(np.eye(ch.num_streams) + ch.snr * (ch.H.T @ ch.H))
 
 
+class TestChannelRange:
+    @pytest.mark.parametrize("h, snr", [
+        ([[1e200, 0.0]], 1.0),
+        ([[-1e300], [1.0]], 1e-10),
+        ([[1e154, 1.0]], 1e4),
+        ([[1.0, 2.0]], 1.7976931348623157e308),
+    ])
+    def test_overflowing_product_is_rejected(self, h, snr):
+        with pytest.raises(ValueError, match=r"snr \* max\|H_ij\|\^2 .* beyond the float range"):
+            ChannelInstance(np.array(h), snr)
+
+    @pytest.mark.parametrize("h, snr", [([[1e154, 1.0]], 1.0), ([[1.5e154, 0.0]], 0.01), ([[1.0]], 1e308)])
+    def test_product_within_range_is_accepted(self, h, snr):
+        assert ChannelInstance(np.array(h), snr).snr == snr
+
+
 class TestChannelDerivedMatrices:
     def test_values(self):
         rng = np.random.default_rng(40)

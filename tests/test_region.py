@@ -1,8 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from conftest import EXAMPLE1_H, EXAMPLE1_SNR_DB
 from ifwb import region as region_module
 from ifwb.errors import DimensionTooLarge, IfwbError, WrongDimension
 from ifwb.lattice import int_det
@@ -227,6 +229,26 @@ _TIE_CHANNELS = [
     ChannelInstance(np.array([[0.7, 1.4]]), 10.0**2.5),
     ChannelInstance(np.array([[1.0, 0.2], [0.1, 3.0]]), 100.0),
 ]
+
+
+@pytest.mark.parametrize("bound", range(1, 6))
+@pytest.mark.parametrize(
+    "ch", [ChannelInstance(EXAMPLE1_H, 10.0 ** (EXAMPLE1_SNR_DB / 10.0)), *_seeded_channels(), *_TIE_CHANNELS],
+    ids=["example1"] + [f"seeded{i}" for i in range(6)] + [f"tie{i}" for i in range(len(_TIE_CHANNELS))],
+)
+def test_points_hold_what_the_report_template_writes(ch, bound):
+    """Every point and frontier point holds exact finite float rates, a known
+    source, a 2x2 tuple of tuples of exact ints and a known permutation: what
+    the region report's template writes as the point's dict form."""
+    reg = enumerate_achievable_points(ch, bound)
+    for p in reg.points + reg.frontier:
+        assert type(p.rates) is tuple and len(p.rates) == 2
+        assert all(type(r) is float and math.isfinite(r) for r in p.rates)
+        assert p.source in region_module._SOURCES
+        assert type(p.A) is tuple and len(p.A) == 2
+        assert all(type(row) is tuple and len(row) == 2 for row in p.A)
+        assert all(type(x) is int for row in p.A for x in row)
+        assert p.permutation in region_module._PERMUTATIONS
 
 
 class TestBatchedScanMatchesReference:
