@@ -47,7 +47,7 @@ SCHEMES = ("zf-baseline", "mmse-sic", "if", "s-if")
 _MODES = {"kz": "kz_exact", "lll": "kz_lll", "brute": "brute_force"}
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Input problem mapped to exit code 2."""
 
 
@@ -97,10 +97,7 @@ def _load_channel(args) -> tuple[ChannelInstance, float]:
     snr_db = _parse_snr_list(args.snr_db)
     if len(snr_db) != 1:
         raise CliError("this subcommand takes a single --snr-db value")
-    try:
-        return ChannelInstance(h, _snr_linear(snr_db[0])), snr_db[0]
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return ChannelInstance(h, _snr_linear(snr_db[0])), snr_db[0]
 
 
 def _snr_linear(snr_db: float) -> float:
@@ -525,9 +522,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"ifwb: {exc}", file=sys.stderr)
-        return 2
     except SingularA as exc:
         print(f"ifwb: singular integer matrix: {exc}", file=sys.stderr)
         return 3

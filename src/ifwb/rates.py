@@ -219,14 +219,11 @@ def mmse_sic_plan(ch: ChannelInstance, decode_order=None) -> SicPlan:
     diag = np.diag(g)
     assert np.all(diag > 0) and np.all(diag <= 1.0 + 1e-12), "g_mm must lie in (0, 1]"
     rates = _step_rates(diag)
-    stream_rates = [0.0] * m
-    for step, stream in enumerate(order):
-        stream_rates[stream] = rates[step]
     return SicPlan(
         G=g,
         decode_order=order,
         rates=rates,
-        stream_rates=tuple(stream_rates),
+        stream_rates=tuple(rates[order.index(s)] for s in range(m)),
         sum_rate=float(sum(rates)),
     )
 

@@ -16,7 +16,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import DimensionTooLarge, IfwbError, WrongDimension
+from .errors import IfwbError, WrongDimension
 from .rates import (
     ChannelInstance,
     _effective_noise,
@@ -172,14 +172,12 @@ def enumerate_achievable_points(ch: ChannelInstance, coeff_bound: int) -> RateRe
     another is at least as large in both rates, to 1e-9). Rates are clamped
     at zero (sending nothing is always allowed).
     """
-    if ch.num_streams != 2:
-        raise DimensionTooLarge("region enumeration is guarded to 2 streams")
+    constants = _pentagon_constants(ch)  # raises WrongDimension unless 2 streams
     bound = int(coeff_bound)
     if not 1 <= bound <= MAX_COEFF_BOUND:
         raise ValueError(f"coeff_bound must be in [1, {MAX_COEFF_BOUND}]")
 
     a, perm, rates, corner = _scan_box(ch, bound)
-    constants = _pentagon_constants(ch)
     outside = ~_inside(constants, rates[:, 0], rates[:, 1], 1e-9)
     if outside.any():
         bad = tuple(rates[np.argmax(outside)].tolist())

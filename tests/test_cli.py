@@ -206,7 +206,9 @@ class TestRegion:
         path = tmp_path / "h3.csv"
         path.write_text("1,0,0\n0,1,0\n0,0,1\n")
         assert main(["region", "--channel", str(path), "--snr-db", "10", "--coeff-bound", "2"]) == 4
-        capsys.readouterr()
+        captured = capsys.readouterr()
+        assert captured.err == "ifwb: dimension guard: pentagon geometry needs 2 streams, got 3\n"
+        assert captured.out == ""
 
     def test_complex_scalar_channel_becomes_two_user(self, capsys, tmp_path):
         re_path, im_path = tmp_path / "re.csv", tmp_path / "im.csv"
@@ -369,7 +371,7 @@ class TestSimulate:
         path.write_text('{"channel": [[1.0, 0.0], [0.0, 1.0]], "snr_db": 4000, "trials": 10}')
         assert main(["simulate", "--config", str(path)]) == 2
         captured = capsys.readouterr()
-        assert "beyond the float range" in captured.err
+        assert captured.err == "ifwb: bad simulation config: SNR of 4000.0 dB is beyond the float range\n"
         assert captured.out == ""
 
     def test_accepts_integral_floats(self, capsys, tmp_path):
@@ -411,7 +413,10 @@ class TestSimulate:
         path = tmp_path / "mismatch.json"
         path.write_text(json.dumps(cfg))
         assert main(["simulate", "--config", str(path)]) == 2
-        assert "differ in shape" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err == ("ifwb: bad simulation config: real and imaginary channel parts "
+                                "differ in shape: (2, 2) vs (1, 2)\n")
+        assert captured.out == ""
 
 
 class TestSweep:
@@ -486,6 +491,24 @@ def test_empty_value_is_not_the_default(capsys, ex1_csv, command, flag, message)
     assert main([command, "--channel", ex1_csv, "--snr-db", "15", f"{flag}="]) == 2
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [message]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--snr-db", "15"], "--channel is required"),
+    (["--channel", "{h}"], "--snr-db is required"),
+    (["--channel", "{h}", "--snr-db", "abc"], "bad --snr-db value: could not convert string to float: 'abc'"),
+    (["--channel", "{h}", "--snr-db", "10,20"], "this subcommand takes a single --snr-db value"),
+    (["--channel", "{h}", "--snr-db", "15", "--order", "1,1"], "--order must be a 1-based permutation of 1..2"),
+    (["--channel", "{ragged}", "--snr-db", "15"], "{ragged} is not a rectangular CSV matrix"),
+], ids=["no-channel", "no-snr", "snr-not-a-number", "two-snr-values", "order-repeats", "ragged-csv"])
+def test_rates_input_errors(capsys, tmp_path, ex1_csv, argv, message):
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("1,2\n3\n")
+    paths = {"h": ex1_csv, "ragged": str(ragged)}
+    assert main(["rates"] + [a.format(**paths) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["ifwb: " + message.format(**paths)]
     assert captured.out == ""
 
 

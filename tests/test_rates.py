@@ -256,6 +256,12 @@ class TestWaterfilling:
         assert np.isclose(value, white_input_capacity(ch), atol=1e-9)
         np.testing.assert_allclose(q, 7.0 * np.eye(3), atol=1e-9)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (1, 3)])
+    def test_zero_channel_has_no_capacity(self, shape):
+        value, q = waterfilling_capacity(ChannelInstance(np.zeros(shape), 10.0))
+        assert value == 0.0 and type(value) is float
+        assert q.shape == (shape[1], shape[1]) and not q.any()
+
     def test_single_mode_gets_all_power(self):
         # rank-one channel: both streams' power rides the single eigenmode
         h = np.array([[1.0, 1.0]]) / np.sqrt(2.0)  # lone singular value 1

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import EXAMPLE1_H, EXAMPLE1_SNR_DB
 from ifwb import region as region_module
-from ifwb.errors import DimensionTooLarge, IfwbError, WrongDimension
+from ifwb.errors import IfwbError, WrongDimension
 from ifwb.lattice import int_det
 from ifwb.rates import (
     ChannelInstance,
@@ -159,7 +159,7 @@ class TestEnumerateAchievablePoints:
         assert enumerate_achievable_points(ch, 3) == reg
 
     def test_guards(self):
-        with pytest.raises(DimensionTooLarge):
+        with pytest.raises(WrongDimension):
             enumerate_achievable_points(ChannelInstance(np.eye(3), 2.0), 2)
         ch = ChannelInstance(np.eye(2), 2.0)
         with pytest.raises(ValueError):
