@@ -19,6 +19,7 @@ import errno
 import functools
 import json
 import os
+import stat
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -218,11 +219,11 @@ def _write_text(text: str, out_path: str | None, *files: tuple) -> None:
     each further (text, path) pair to its path when that is not None.
 
     An empty path is an input error before any path is opened. A path that
-    cannot be opened is an input error, and then nothing is written: with two
-    or more paths, each is opened once before any text is written, and the
-    files this call created are removed if one fails. The texts are then
-    written in turn, each file truncated as it is opened, so a path given
-    twice holds the last text.
+    cannot be opened is an input error, and then nothing is written: each
+    path is opened once before any text is written, and the files this call
+    created are removed if one fails. Each text is then written through its
+    path's descriptor, a regular file that holds bytes truncated first, so a
+    path given twice holds the last text.
     """
     files = [(t, path) for t, path in ((text, out_path), *files) if path is not None]
     if any(path == "" for _, path in files):
@@ -230,16 +231,19 @@ def _write_text(text: str, out_path: str | None, *files: tuple) -> None:
         raise CliError(f"cannot write : {missing}")
     held, created = [], []  # kept open until the texts are written, so a pipe sees no end
     try:
-        if len(files) > 1:  # a single path fails before anything is written anyway
-            for _, path in files:
-                try:
-                    held.append(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
-                    created.append(path)
-                except FileExistsError:
-                    held.append(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
-        for t, path in files:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(t)
+        for _, path in files:
+            try:
+                held.append(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+                created.append(path)
+            except FileExistsError:
+                held.append(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+        for (t, path), fd in zip(files, held):
+            info = os.fstat(fd)
+            if stat.S_ISREG(info.st_mode) and info.st_size:
+                os.ftruncate(fd, 0)
+            data = memoryview(t.encode("utf-8"))
+            while data:
+                data = data[os.write(fd, data):]
     except OSError as exc:
         for p in created:
             with contextlib.suppress(OSError):

@@ -260,10 +260,37 @@ def _gram(x: np.ndarray) -> np.ndarray:
     return x @ (np.ascontiguousarray(xt) if x.ndim > 2 else xt)
 
 
-def _any(flags) -> bool:
-    """flags.any(); the 0-d flag of a single matrix is tested directly, because
-    a numpy scalar's .any() costs more than the per-matrix check itself."""
-    return bool(flags.any() if flags.ndim else flags)
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for each matrix of x over its trailing two axes; a stack as one
+    2-D product (S m, k) @ (k, n), reshaped back: one BLAS call, not S."""
+    if x.ndim == 2:
+        return x @ y
+    return (x.reshape(-1, x.shape[-1]) @ y).reshape(x.shape[:-1] + y.shape[-1:])
+
+
+def _peak(x: np.ndarray) -> np.ndarray:
+    """max(max|x_ij|, 1e-300) of each matrix over the trailing two axes.
+
+    A stack's maxima are one reduce over a contiguous (M*M, S) copy of |x|,
+    which runs along the stack, not one short reduce per matrix.
+    """
+    if x.ndim == 2:
+        return np.maximum(np.abs(x).max(axis=(-2, -1)), 1e-300)
+    flat = np.abs(x).reshape(-1, x.shape[-2] * x.shape[-1])
+    return np.maximum(np.ascontiguousarray(flat.T).max(axis=0), 1e-300).reshape(x.shape[:-2])
+
+
+def _exceeds(diff: np.ndarray, bound) -> bool:
+    """Whether some matrix of diff has an |entry| beyond its own bound.
+
+    A stack is compared elementwise with the bounds broadcast over each
+    matrix: true whenever a matrix's largest |entry| is beyond its bound, and
+    also when a NaN entry hides that largest one. A single matrix compares
+    its largest |entry|, which costs less than the elementwise test.
+    """
+    if diff.ndim == 2:
+        return bool(np.abs(diff).max(axis=(-2, -1)) > bound)
+    return bool((np.abs(diff) > bound[..., None, None]).any())
 
 
 def _effective_noise(ch: ChannelInstance, af: np.ndarray):
@@ -273,21 +300,22 @@ def _effective_noise(ch: ChannelInstance, af: np.ndarray):
     snr A (I + snr H^T H)^{-1} A^T because G G^T is that inverse; L is the
     transpose of the positive-diagonal R of the QR of (AG)^T, so
     L L^T = (AG)(AG)^T without that product being factored; and
-    B = A ch.mmse_equalizer. Each matrix of a stack is checked on its own:
-    the filter-algebra covariance snr (BH - A)(BH - A)^T + B B^T must match
-    Ktilde to 1e-8 relative, and snr L L^T must match it to 1e-9.
+    B = A ch.mmse_equalizer. Each matrix of a stack is checked on its own,
+    against max|Ktilde| of that matrix: the filter-algebra covariance
+    snr (BH - A)(BH - A)^T + B B^T must match Ktilde to 1e-8 relative, and
+    snr L L^T must match it to 1e-9. A stack's products with G, the
+    equalizer and H are each one 2-D product (_product).
     """
-    ag = af @ ch.sic_cholesky
+    ag = _product(af, ch.sic_cholesky)
     ktilde = ch.snr * _gram(ag)
     r = np.linalg.qr(_mt(ag), mode="r")
     l = _mt(r * _diagonal_signs(r)[..., None])
-    b = af @ ch.mmse_equalizer
-    mismatch = b @ ch.H - af
-    direct = ch.snr * _gram(mismatch) + _gram(b)
-    scale = np.maximum(np.abs(ktilde).max(axis=(-2, -1)), 1e-300)
-    if _any(np.abs(direct - ktilde).max(axis=(-2, -1)) > 1e-8 * scale):
+    b = _product(af, ch.mmse_equalizer)
+    direct = ch.snr * _gram(_product(b, ch.H) - af) + _gram(b)
+    scale = _peak(ktilde)
+    if _exceeds(direct - ktilde, 1e-8 * scale):
         raise IfwbError("filter-algebra and inversion-lemma covariances disagree")
-    if _any(np.abs(ktilde - ch.snr * l @ _mt(l)).max(axis=(-2, -1)) > 1e-9 * scale):
+    if _exceeds(ktilde - ch.snr * l @ _mt(l), 1e-9 * scale):
         raise IfwbError("Ktilde does not match snr * L L^T")
     return ktilde, l, b
 

@@ -185,7 +185,9 @@ def enumerate_achievable_points(ch: ChannelInstance, coeff_bound: int) -> RateRe
 
     # drop the other points that are a corner, then sort: the lexsort keys
     # give the order of the (rates, A, permutation) tuples
-    twin = (np.abs(rates[:, None] - rates[corner]) <= _DEDUP_TOL).all(axis=-1).any(axis=-1)
+    twin = np.zeros(len(rates), dtype=bool)
+    for c1, c2 in rates[corner].tolist():  # the two corner rows
+        twin |= (np.abs(rates[:, 0] - c1) <= _DEDUP_TOL) & (np.abs(rates[:, 1] - c2) <= _DEDUP_TOL)
     a, perm, rates, corner = (x[corner | ~twin] for x in (a, perm, rates, corner))
     order = np.lexsort((perm, *a.reshape(-1, 4).T[::-1], *rates.T[::-1]))
     r1, r2 = rates[order].T.tolist()

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -587,6 +588,29 @@ class TestOutputPath:
             f"ifwb: cannot write {path}: [Errno 2] No such file or directory: '{path}'"]
         assert captured.out == ""
 
+    def test_directory_path_is_an_input_error(self, capsys, tmp_path, ex1_csv, command, flag):
+        path = tmp_path / "a_directory"
+        path.mkdir()
+        assert _write_to(tmp_path, ex1_csv, command, flag, path) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"ifwb: cannot write {path}: [Errno 21] Is a directory: '{path}'"]
+        assert captured.out == ""
+
+    def test_longer_file_holds_exactly_the_new_text(self, capsys, tmp_path, ex1_csv, command, flag):
+        fresh, path = tmp_path / "fresh", tmp_path / "longer"
+        assert _write_to(tmp_path, ex1_csv, command, flag, fresh) == 0
+        path.write_text("stale\n" * (len(fresh.read_text()) // 3))
+        assert _write_to(tmp_path, ex1_csv, command, flag, path) == 0
+        capsys.readouterr()
+        assert path.read_bytes() == fresh.read_bytes()
+
+    def test_character_device_is_written(self, capsys, tmp_path, ex1_csv, command, flag):
+        """A file that is not regular is written as it is, not truncated."""
+        assert _write_to(tmp_path, ex1_csv, command, flag, os.devnull) == 0
+        captured = capsys.readouterr()
+        assert captured.err == captured.out == ""
+
 
 class TestRegionOutputPaths:
     """Both region paths are opened before either is written: a call that exits 2
@@ -634,6 +658,24 @@ class TestRegionOutputPaths:
         assert self.region(tmp_path, ex1_csv, "--csv-out", str(csv_path)) == 0
         capsys.readouterr()
         assert both.read_text() == csv_path.read_text()
+
+    def test_one_path_for_both_over_a_longer_file_holds_the_csv(self, capsys, tmp_path, ex1_csv):
+        both, csv_path = tmp_path / "both", tmp_path / "frontier.csv"
+        assert self.region(tmp_path, ex1_csv, "--csv-out", str(csv_path)) == 0
+        both.write_text("stale\n" * 10_000)
+        assert self.region(tmp_path, ex1_csv, "--out", str(both), "--csv-out", str(both)) == 0
+        capsys.readouterr()
+        assert both.read_bytes() == csv_path.read_bytes()
+
+    def test_two_longer_files_hold_exactly_the_new_texts(self, capsys, tmp_path, ex1_csv):
+        fresh = [tmp_path / "fresh.json", tmp_path / "fresh.csv"]
+        longer = [tmp_path / "longer.json", tmp_path / "longer.csv"]
+        assert self.region(tmp_path, ex1_csv, "--out", str(fresh[0]), "--csv-out", str(fresh[1])) == 0
+        for new, old in zip(fresh, longer):
+            old.write_text("stale\n" * len(new.read_text()))
+        assert self.region(tmp_path, ex1_csv, "--out", str(longer[0]), "--csv-out", str(longer[1])) == 0
+        capsys.readouterr()
+        assert [p.read_bytes() for p in longer] == [p.read_bytes() for p in fresh]
 
 
 class TestParserBuiltOnce:

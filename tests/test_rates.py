@@ -6,13 +6,15 @@ import pytest
 
 from conftest import EXAMPLE1_A, conditioned_channel, random_channel, random_full_rank_int
 from ifwb import rates as rates_module
-from ifwb.errors import DimensionTooLarge, InfeasiblePermutation, SingularA
+from ifwb.errors import DimensionTooLarge, IfwbError, InfeasiblePermutation, SingularA
 from ifwb.lattice import int_det
 from ifwb.rates import (
     ChannelInstance,
+    _diagonal_signs,
     _effective_noise,
     _feasible_permutations,
     _monotone,
+    _mt,
     _signed_permutation,
     allocate_rates,
     as_integer_matrix,
@@ -28,6 +30,7 @@ from ifwb.rates import (
     waterfilling_capacity,
     white_input_capacity,
 )
+from ifwb.region import _scan_table
 
 ANCHOR_TOL = 5e-4  # reference values are quoted to four decimals
 
@@ -112,6 +115,154 @@ class TestEffectiveNoiseKernel:
                 np.testing.assert_array_equal(ktilde[idx], model.Ktilde)
                 np.testing.assert_array_equal(l[idx], model.L)
                 np.testing.assert_array_equal(b[idx], model.B)
+
+
+# The kernel with per-matrix stacked products and checks by each matrix's
+# largest difference, verbatim with the two helpers it used: the reference
+# that TestEffectiveNoiseReference holds rates._effective_noise to.
+def _gram(x):
+    xt = _mt(x)
+    return x @ (np.ascontiguousarray(xt) if x.ndim > 2 else xt)
+
+
+def _any(flags) -> bool:
+    return bool(flags.any() if flags.ndim else flags)
+
+
+def _reference_effective_noise(ch, af):
+    ag = af @ ch.sic_cholesky
+    ktilde = ch.snr * _gram(ag)
+    r = np.linalg.qr(_mt(ag), mode="r")
+    l = _mt(r * _diagonal_signs(r)[..., None])
+    b = af @ ch.mmse_equalizer
+    mismatch = b @ ch.H - af
+    direct = ch.snr * _gram(mismatch) + _gram(b)
+    scale = np.maximum(np.abs(ktilde).max(axis=(-2, -1)), 1e-300)
+    if _any(np.abs(direct - ktilde).max(axis=(-2, -1)) > 1e-8 * scale):
+        raise IfwbError("filter-algebra and inversion-lemma covariances disagree")
+    if _any(np.abs(ktilde - ch.snr * l @ _mt(l)).max(axis=(-2, -1)) > 1e-9 * scale):
+        raise IfwbError("Ktilde does not match snr * L L^T")
+    return ktilde, l, b
+
+
+def _outcome(kernel, ch, af):
+    try:
+        return kernel(ch, af)
+    except IfwbError as exc:
+        return str(exc)
+
+
+class TestEffectiveNoiseReference:
+    @staticmethod
+    def assert_same(ch, af):
+        want, got = _outcome(_reference_effective_noise, ch, af), _outcome(_effective_noise, ch, af)
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want
+        else:
+            assert all(np.array_equal(w, g) for w, g in zip(want, got))
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5])
+    def test_scan_stacks_match_the_reference(self, bound):
+        """Ktilde, L and B bit for bit, or the same error, on the region scan's
+        stack of two-stream channels: N 1-3, 0-120 dB."""
+        af = _scan_table(bound)[1]
+        rng = np.random.default_rng([4200, bound])
+        for n in (1, 2, 3):
+            for snr_db in np.linspace(0.0, 120.0, 13):
+                self.assert_same(ChannelInstance(rng.standard_normal((n, 2)), 10.0 ** (snr_db / 10.0)), af)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_single_matrices_and_stacks_match_the_reference(self, m):
+        """The same on single matrices, and on (4, 5) stacks of them, at N 1..M+2, 0-120 dB."""
+        rng = np.random.default_rng([4300, m])
+        for _ in range(12):
+            ch = conditioned_channel(rng, m, int(rng.integers(1, m + 3)), float(rng.uniform(0.0, 120.0)))
+            stack = np.stack([random_full_rank_int(rng, m, bound=3) for _ in range(20)]).astype(float)
+            self.assert_same(ch, stack.reshape(4, 5, m, m))
+            for af in stack[:5]:
+                self.assert_same(ch, af)
+
+
+def _perturbed_qr(monkeypatch, ch, index, value):
+    """np.linalg.qr with R[index] set to value(R[index]), after ch's own QR
+    factor is computed: one entry of R, or all of one matrix of a stack."""
+    _ = ch.mmse_equalizer, ch.sic_cholesky
+    qr = np.linalg.qr
+
+    def perturbed(x, mode="reduced"):
+        r = qr(x, mode=mode).copy()
+        r[index] = value(r[index])
+        return r
+
+    monkeypatch.setattr(np.linalg, "qr", perturbed)
+
+
+class TestEffectiveNoiseChecks:
+    """Each cross-check raises its message on a single matrix, and on a stack
+    in which one matrix alone is corrupted."""
+
+    FILTER = "filter-algebra and inversion-lemma covariances disagree"
+    CHOLESKY = r"Ktilde does not match snr \* L L\^T"
+
+    @staticmethod
+    def stack():
+        return _scan_table(3)[1]
+
+    def test_unperturbed_kernel_passes(self, example1):
+        _effective_noise(example1, self.stack())
+        _effective_noise(example1, EXAMPLE1_A.astype(float))
+
+    @pytest.mark.parametrize("name", DERIVED)
+    def test_perturbed_channel_matrix_fails_the_filter_algebra_check(self, example1, name):
+        example1.__dict__[name] = getattr(example1, name) * 1.01
+        with pytest.raises(IfwbError, match=self.FILTER):
+            if_effective_model(example1, EXAMPLE1_A)
+        with pytest.raises(IfwbError, match=self.FILTER):
+            _effective_noise(example1, self.stack())
+
+    def test_one_corrupted_matrix_of_a_stack_fails_the_filter_algebra_check(self, example1, monkeypatch):
+        product = rates_module._product
+
+        def corrupting(x, y):
+            out = product(x, y)
+            if y is example1.H:  # B H of matrix 36 alone
+                out = out.copy()
+                out[36] *= 1.0 + 1e-6
+            return out
+
+        monkeypatch.setattr(rates_module, "_product", corrupting)
+        with pytest.raises(IfwbError, match=self.FILTER):
+            _effective_noise(example1, self.stack())
+
+    def test_perturbed_qr_fails_the_cholesky_check(self, example1, monkeypatch):
+        _perturbed_qr(monkeypatch, example1, (0, 0), lambda v: v * (1.0 + 1e-6))
+        with pytest.raises(IfwbError, match=self.CHOLESKY):
+            if_effective_model(example1, EXAMPLE1_A)
+
+    def test_each_matrix_is_checked_against_its_own_scale(self, example1, monkeypatch):
+        """Matrix 36 of the bound-3 stack has the least max|Ktilde|, about 1/120 of
+        the stack's largest. Scaling the first row of its R by 1 + 3e-8 moves
+        snr L L^T by up to 6e-8 of that scale: beyond the bound of 1e-9 on it,
+        and within 1e-9 of the largest."""
+        stack = self.stack()
+        ktilde, _, _ = _effective_noise(example1, stack)
+        scales = np.abs(ktilde).max(axis=(1, 2))
+        assert scales.argmin() == 36 and 60 * scales[36] < scales.max()
+        _perturbed_qr(monkeypatch, example1, (36, 0, 0), lambda v: v * (1.0 + 3e-8))
+        with pytest.raises(IfwbError, match=self.CHOLESKY):
+            _effective_noise(example1, stack)
+
+    def test_nan_beside_an_entry_beyond_the_bound_fails(self, example1, monkeypatch):
+        """snr L L^T of matrix 36 holds NaNs and an entry beyond the bound, which
+        the largest |entry| alone, a NaN, would not show."""
+        def corrupt(r):
+            r = r * (1.0 + 1e-6)
+            r[0, 1] = np.nan
+            return r
+
+        _perturbed_qr(monkeypatch, example1, 36, corrupt)
+        with pytest.raises(IfwbError, match=self.CHOLESKY):
+            _effective_noise(example1, self.stack())
 
 
 class TestEffectiveModelSharing:
