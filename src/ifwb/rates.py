@@ -87,13 +87,21 @@ class ChannelInstance:
         J reverses the column order, so R^T R = J (I + snr H^T H) J. This is
         the square-root form of MMSE-SIC (Hassibi, ICASSP 2000; Wubben et
         al., VTC 2003): every channel-derived quantity is read off Q and R,
-        with no inverse or Cholesky factorization of a Gram matrix.
+        with no inverse or Cholesky factorization of a Gram matrix. The
+        factor is checked once, where the rounding enters: Q^T Q = I, and
+        Q R = [sqrt(snr) H J; J] relative to its largest entry, each to 10
+        eps per row, a bound Householder QR meets at any SNR.
         """
         m = self.num_streams
         augmented = np.vstack([math.sqrt(self.snr) * self.H[:, ::-1], np.eye(m)[::-1]])
         q, r = np.linalg.qr(augmented)
         signs = _diagonal_signs(r)
-        return _read_only(q * signs), _read_only(r * signs[:, None])
+        q, r = q * signs, r * signs[:, None]
+        bound = 10 * len(augmented) * np.finfo(float).eps
+        if not (np.abs(q.T @ q - np.eye(m)).max() <= bound
+                and np.abs(q @ r - augmented).max() <= bound * np.abs(augmented).max()):
+            raise IfwbError("channel square-root factor fails Q^T Q = I or Q R = [sqrt(snr) H J; J]")
+        return _read_only(q), _read_only(r)
 
     @cached_property
     def sic_cholesky(self) -> np.ndarray:
@@ -234,10 +242,9 @@ def mmse_sic_plan(ch: ChannelInstance, decode_order=None) -> SicPlan:
 
 @dataclass(frozen=True)
 class EffectiveNoiseModel:
-    """Equalizer and effective-noise geometry for one integer target matrix."""
+    """Effective-noise geometry for one integer target matrix."""
 
     A: np.ndarray  # int64, full rank
-    B: np.ndarray  # M x N equalizer
     Ktilde: np.ndarray  # generalized covariance of the effective noise
     L: np.ndarray  # lower Cholesky factor of A (I + snr H^T H)^{-1} A^T
     det: int  # exact det A, nonzero
@@ -294,43 +301,34 @@ def _exceeds(diff: np.ndarray, bound) -> bool:
 
 
 def _effective_noise(ch: ChannelInstance, af: np.ndarray):
-    """(Ktilde, L, B) for float integer matrices af of shape (..., M, M).
+    """(Ktilde, L) for float integer matrices af of shape (..., M, M).
 
     With AG = A ch.sic_cholesky, Ktilde = snr (AG)(AG)^T, which is
     snr A (I + snr H^T H)^{-1} A^T because G G^T is that inverse; L is the
     transpose of the positive-diagonal R of the QR of (AG)^T, so
-    L L^T = (AG)(AG)^T without that product being factored; and
-    B = A ch.mmse_equalizer. Each matrix of a stack is checked on its own,
-    against max|Ktilde| of that matrix: the filter-algebra covariance
-    snr (BH - A)(BH - A)^T + B B^T must match Ktilde to 1e-8 relative, and
-    snr L L^T must match it to 1e-9. A stack's products with G, the
-    equalizer and H are each one 2-D product (_product).
+    L L^T = (AG)(AG)^T without that product being factored. Each matrix of a
+    stack is checked on its own: snr L L^T must match Ktilde to 1e-9 of
+    max|Ktilde| of that matrix. A stack's product with G is one 2-D product
+    (_product).
     """
     ag = _product(af, ch.sic_cholesky)
     ktilde = ch.snr * _gram(ag)
     r = np.linalg.qr(_mt(ag), mode="r")
     l = _mt(r * _diagonal_signs(r)[..., None])
-    b = _product(af, ch.mmse_equalizer)
-    direct = ch.snr * _gram(_product(b, ch.H) - af) + _gram(b)
-    scale = _peak(ktilde)
-    if _exceeds(direct - ktilde, 1e-8 * scale):
-        raise IfwbError("filter-algebra and inversion-lemma covariances disagree")
-    if _exceeds(ktilde - ch.snr * l @ _mt(l), 1e-9 * scale):
+    if _exceeds(ktilde - ch.snr * l @ _mt(l), 1e-9 * _peak(ktilde)):
         raise IfwbError("Ktilde does not match snr * L L^T")
-    return ktilde, l, b
+    return ktilde, l
 
 
 def if_effective_model(ch: ChannelInstance, a) -> EffectiveNoiseModel:
-    """Optimal equalizer B, generalized covariance Ktilde and Cholesky L for A.
+    """Generalized covariance Ktilde and Cholesky factor L for A.
 
-    B = A H^T (I/snr + H H^T)^{-1} and Ktilde = snr A (I + snr H^T H)^{-1} A^T.
-    The two expressions for Ktilde (direct filter algebra and the
-    matrix-inversion-lemma form, as snr (AG)(AG)^T) are cross-checked to
-    1e-8 relative, and Ktilde against snr L L^T to 1e-9. This is the one
-    check of a (channel, A) pair: A must be an M x M integer matrix with a
-    nonzero exact determinant, which the model carries as det. The model is
-    built once per (channel, A) and shared by later calls; its arrays are
-    read-only.
+    Ktilde = snr A (I + snr H^T H)^{-1} A^T is checked against snr L L^T to
+    1e-9 relative; the equalizer toward A is A @ ch.mmse_equalizer, computed
+    where it is read. This is the one check of a (channel, A) pair: A must
+    be an M x M integer matrix with a nonzero exact determinant, which the
+    model carries as det. The model is built once per (channel, A) and
+    shared by later calls; its arrays are read-only.
     """
     a = as_integer_matrix(a)
     key = a.tobytes()
@@ -339,9 +337,9 @@ def if_effective_model(ch: ChannelInstance, a) -> EffectiveNoiseModel:
         if a.shape[0] != m:
             raise ValueError(f"A must be {m}x{m} for this channel, got {a.shape}")
         det = _validate_full_rank(a)
-        k, l, b = _effective_noise(ch, a.astype(float))
+        k, l = _effective_noise(ch, a.astype(float))
         ch._effective_models[key] = EffectiveNoiseModel(
-            A=_read_only(a), B=_read_only(b), Ktilde=_read_only(k), L=_read_only(l), det=det,
+            A=_read_only(a), Ktilde=_read_only(k), L=_read_only(l), det=det,
             det_gap=float(math.log2(abs(det))),
         )
     return ch._effective_models[key]
@@ -606,7 +604,7 @@ def gdfe_filters(ch: ChannelInstance, a) -> GdfeFilters:
 
     With R = diag(l_11..l_MM) L^{-1}, from a solve with L^T, the error
     covariance becomes exactly snr * diag(l_mm^2), so the per-step rates
-    coincide with successive_if_rates.
+    coincide with successive_if_rates. The forward filter is R A ch.mmse_equalizer.
     """
     model = if_effective_model(ch, a)
     l = model.L
@@ -615,7 +613,7 @@ def gdfe_filters(ch: ChannelInstance, a) -> GdfeFilters:
     np.fill_diagonal(rmonic, 1.0)
     cfeedback = rmonic - np.eye(l.shape[0])
     np.fill_diagonal(cfeedback, 0.0)
-    b = rmonic @ model.B
+    b = rmonic @ (model.A.astype(float) @ ch.mmse_equalizer)
     rl = rmonic @ l
     kee = ch.snr * (rl @ rl.T)
     off = np.abs(kee - np.diag(np.diag(kee))).max()

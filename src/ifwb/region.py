@@ -120,10 +120,10 @@ def _scan_table(bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
 def _scan_box(ch: ChannelInstance, bound: int):
     """Successive-IF plans for every full-rank A in the box, as in rates.
 
-    Negating a row of A negates that row of A G, B and B H - A exactly, and
-    a Householder QR of (A G)^T only negates the matching row of R, so the
-    diagonal of L, both checks and feasibility are the same bit for bit
-    across a row-sign class. The nonsingular class
+    Negating a row of A negates that row of A G exactly, and a Householder
+    QR of (A G)^T only negates the matching row of R, so the diagonal of L,
+    the snr L L^T check and feasibility are the same bit for bit across a
+    row-sign class. The nonsingular class
     representatives form one stack, which rates._effective_noise factors and
     checks matrix by matrix; the diagonal of each factor L gives the per-step
     rates -log2 l_mm. For full-rank 2x2 A, permutation (0, 1) is feasible iff
@@ -134,7 +134,7 @@ def _scan_box(ch: ChannelInstance, bound: int):
     corner mask, ordered by A, then by permutation.
     """
     a, af, first_row_nonzero, signed_permutation = _scan_table(bound)
-    _, l, _ = _effective_noise(ch, af)
+    _, l = _effective_noise(ch, af)
     diag = np.diagonal(l, axis1=1, axis2=2)
     index, perm = np.nonzero((signed_permutation | _monotone(diag))[:, None] & first_row_nonzero)
     per_step = -np.log2(diag)

@@ -186,7 +186,7 @@ def _index_draw(cfg: SimConfig):
     return draw
 
 
-def _run_chunks(cfg: SimConfig, noise_scale: float, model, decode, record=None) -> TrialResult:
+def _run_chunks(cfg: SimConfig, noise_scale: float, decode, record=None) -> TrialResult:
     """Draw, receive, decode and count the trials CHUNK_TRIALS at a time.
 
     Each chunk's symbol indices come from _index_draw and its noise from
@@ -222,6 +222,7 @@ def _run_chunks(cfg: SimConfig, noise_scale: float, model, decode, record=None) 
     c = cfg.symbol_scale
     h_t = np.ascontiguousarray(cfg.ch.H.T)
     a = cfg.A.astype(float)
+    b = a @ cfg.ch.mmse_equalizer  # the equalizer A H^T (I/snr + H H^T)^{-1}
     a_inv = np.linalg.inv(cfg.A)
     sym_errors, eq_errors = np.zeros((2, m), dtype=np.int64)
     zz, zz_chunk = np.zeros((2, m, m))
@@ -244,7 +245,7 @@ def _run_chunks(cfg: SimConfig, noise_scale: float, model, decode, record=None) 
             if noise_scale != 1.0:
                 np.multiply(noise, noise_scale, out=noise)
             np.add(y, noise, out=y)
-        np.matmul(model.B, y.T, out=y_eff)
+        np.matmul(b, y.T, out=y_eff)
         decode(y, y_eff, v_int)
         np.matmul(a, odd.T, out=v_true)  # exact small integers
         eq_errors += [np.count_nonzero(r) for r in np.not_equal(v_int, v_true, out=mask)]
@@ -264,7 +265,7 @@ def _run_chunks(cfg: SimConfig, noise_scale: float, model, decode, record=None) 
 
 
 def _successive_if(cfg: SimConfig):
-    """The (model, decode) pair of the noise-prediction decoder, for _run_chunks."""
+    """The decode step of the noise-prediction decoder, for _run_chunks."""
     model = if_effective_model(cfg.ch, cfg.A)
     parity = _parities(cfg)
     c = cfg.symbol_scale
@@ -285,17 +286,16 @@ def _successive_if(cfg: SimConfig):
                 np.subtract(target, np.multiply(v_int[step], c, out=w[step]), out=w[step])
                 np.divide(w[step], sq * model.L[step, step], out=w[step])
 
-    return model, decode
+    return decode
 
 
 def _lr_aided_sic(cfg: SimConfig):
-    """The (model, decode) pair of the decision-feedback decoder, for _run_chunks.
+    """The decode step of the decision-feedback decoder, for _run_chunks.
 
     y_eff (the prediction path's equalizer output) carries the effective-noise
     bookkeeping; the decisions come from the forward filter's output.
     """
     filters = gdfe_filters(cfg.ch, cfg.A)
-    model = if_effective_model(cfg.ch, cfg.A)
     parity = _parities(cfg)
     c = cfg.symbol_scale
     m, size = cfg.ch.num_streams, min(CHUNK_TRIALS, cfg.trials)
@@ -314,7 +314,7 @@ def _lr_aided_sic(cfg: SimConfig):
             if step < m - 1:  # the last feedback is never read
                 np.multiply(v_int[step], c, out=v_hat[step])
 
-    return model, decode
+    return decode
 
 
 def _identity_a(cfg: SimConfig) -> SimConfig:
@@ -330,7 +330,7 @@ def run_successive_if_trials(cfg: SimConfig, noise_scale: float = 1.0) -> TrialR
     solved from the decided combinations at the end. ``noise_scale=0`` is the
     noiseless diagnostic.
     """
-    return _run_chunks(cfg, noise_scale, *_successive_if(cfg))
+    return _run_chunks(cfg, noise_scale, _successive_if(cfg))
 
 
 def run_lr_aided_sic_trials(cfg: SimConfig, noise_scale: float = 1.0) -> TrialResult:
@@ -343,7 +343,7 @@ def run_lr_aided_sic_trials(cfg: SimConfig, noise_scale: float = 1.0) -> TrialRe
     only where a statistic lies exactly on a slicing boundary, which rounding
     then breaks either way.
     """
-    return _run_chunks(cfg, noise_scale, *_lr_aided_sic(cfg))
+    return _run_chunks(cfg, noise_scale, _lr_aided_sic(cfg))
 
 
 def run_mmse_sic_trials(cfg: SimConfig, noise_scale: float = 1.0) -> TrialResult:
@@ -365,7 +365,7 @@ def trial_decisions(cfg: SimConfig, noise_scale: float, decoder: str):
     builders = {"successive_if": _successive_if, "lr_aided_sic": _lr_aided_sic}
     if decoder not in builders:
         raise ValueError(f"unknown decoder {decoder!r}")
-    model, decode = builders[decoder](cfg)
+    decode = builders[decoder](cfg)
     eq_idx = np.empty((cfg.ch.num_streams, cfg.trials), dtype=np.int64)
     stream_hat = np.empty_like(eq_idx)
     parity = _parities(cfg).astype(float)[:, None]
@@ -374,5 +374,5 @@ def trial_decisions(cfg: SimConfig, noise_scale: float, decoder: str):
         eq_idx[:, lo:hi] = (v_int - parity) / 2.0
         stream_hat[:, lo:hi] = odd_hat
 
-    _run_chunks(cfg, noise_scale, model, decode, record)
+    _run_chunks(cfg, noise_scale, decode, record)
     return eq_idx.T, stream_hat.T

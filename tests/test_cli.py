@@ -547,6 +547,34 @@ def test_large_channel_within_float_range_reaches_the_conditioning_check(capsys,
         "ifwb: basis columns are (numerically) linearly dependent"]
 
 
+_HIGH_SNR_H = [[1.0, 0.5], [0.3, 1.2]]
+
+
+@pytest.mark.parametrize("snr_db", ["150", "200", "250", "300"])
+def test_high_snr_channel_reaches_a_result(capsys, tmp_path, snr_db):
+    """rates, region and sweep succeed at 150-300 dB, and the rates report's
+    residuals stay within 1e-9."""
+    argv = _channel_argv(tmp_path, "rates", _HIGH_SNR_H)[:-1] + [snr_db]
+    residuals = run_json(capsys, argv)["residuals"]
+    assert residuals and all(abs(v) <= 1e-9 for v in residuals.values())
+    run_json(capsys, ["region"] + argv[1:] + ["--coeff-bound", "3"])
+    assert main(["sweep"] + argv[1:3] + [f"--snr-db=0,{snr_db}"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 4
+
+
+def test_channel_with_a_1e150_entry(capsys, tmp_path):
+    """H = [[1e150, 0.5], [0.3, 1.2]] at 15 dB: G has singular values about
+    2e-151 and 0.15, so the lattice basis G^T is numerically rank deficient
+    and rates and optimize-a refuse it; region reduces no lattice and
+    reaches its result."""
+    h = [[1e150, 0.5], [0.3, 1.2]]
+    for command, extra in (("rates", []), ("optimize-a", ["--mode", "kz"])):
+        assert main(_channel_argv(tmp_path, command, h) + extra) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "ifwb: basis columns are (numerically) linearly dependent"]
+    assert run_json(capsys, _channel_argv(tmp_path, "region", h))["results"]
+
+
 def _example_argv(tmp_path, ex1_csv, command):
     """A call of command on example 1 at 15 dB that succeeds."""
     if command == "simulate":

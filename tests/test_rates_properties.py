@@ -1,35 +1,39 @@
 """Property-based checks of the rate engine in the regimes most sensitive to rounding.
 
 Channels are drawn from a seed (H Gaussian, or with a condition number up to
-1e9) with N != M and SNR 0-120 dB. There the covariance cross-checks of
-rates._effective_noise and the pentagon test of the region scan fail unless
-the channel-derived matrices come from the square-root (QR) kernel.
+1e9) with N != M and SNR 0-120 dB, or 0-300 dB with N = M allowed. There the
+snr L L^T check of rates._effective_noise and the pentagon test of the region
+scan fail unless the channel-derived matrices come from the square-root (QR)
+kernel, and the checks must not false-alarm.
 """
 
 import numpy as np
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
-from conftest import conditioned_channel
+from conftest import conditioned_channel, random_full_rank_int
 from ifwb.errors import IfwbError
 from ifwb.rates import (
     ChannelInstance,
     _effective_noise,
+    if_effective_model,
     optimal_a,
     successive_if_rates,
     white_input_capacity,
 )
 from ifwb.region import _class_representatives, enumerate_achievable_points, pentagon_contains
+from test_rates import assert_matches_reference
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
-def seeded_channel(draw, dims):
-    """Channel with M in dims, N in 1..M+2 other than M, 0-120 dB; H from a drawn seed."""
+def seeded_channel(draw, dims, max_db=120.0, square=False):
+    """Channel with M in dims, N in 1..M+2 (other than M unless square),
+    0-max_db dB; H from a drawn seed."""
     m = draw(st.sampled_from(dims))
-    n = draw(st.integers(1, m + 2).filter(lambda n: n != m))
-    snr_db = draw(st.floats(0.0, 120.0))
+    n = draw(st.integers(1, m + 2).filter(lambda n: square or n != m))
+    snr_db = draw(st.floats(0.0, max_db))
     cond = draw(st.one_of(st.none(), st.floats(0.0, 9.0).map(lambda e: 10.0**e)))
     seed = draw(st.integers(0, 2**32 - 1))
     note(f"ch = conditioned_channel(default_rng({seed}), {m}, {n}, {snr_db!r}, {cond!r})")
@@ -51,11 +55,29 @@ def test_kz_rates_telescope_to_white_input_capacity(ch):
     assert abs(sif.sum_rate - white_input_capacity(ch)) <= 1e-9
 
 
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(ch=seeded_channel(dims=range(1, 7), max_db=300.0, square=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_no_false_alarm_up_to_300_db(ch, seed):
+    """The channel's factor check and the snr L L^T check pass, and every
+    model builds: A = I, the reversal (decode order M..1) and a random
+    full-rank A with entries in [-3, 3], at M 1-6, N 1..M+2, 0-300 dB and
+    condition numbers 1-1e9."""
+    m = ch.num_streams
+    rng = np.random.default_rng(seed)
+    for a in (np.eye(m, dtype=np.int64), np.eye(m, dtype=np.int64)[::-1],
+              random_full_rank_int(rng, m, bound=3)):
+        model = if_effective_model(ch, a)
+        assert np.all(np.diag(model.L) > 0)
+
+
 @PROPERTY_SETTINGS
 @given(n=st.integers(1, 3), snr_db=st.floats(0.0, 90.0), seed=st.integers(0, 2**32 - 1))
 def test_stacked_effective_noise_matches_single_matrix_calls(n, snr_db, seed):
-    """Each matrix of a stack gets the Ktilde, L and B bits of a call on it
-    alone, on the region scan's bound-3 stack of two-stream channels."""
+    """Each matrix of a stack gets the Ktilde and L bits of a call on it
+    alone, on the region scan's bound-3 stack of two-stream channels; the
+    stack and each single matrix match the reference kernel, its equalizer
+    included (test_rates.assert_matches_reference)."""
     ch = ChannelInstance(np.random.default_rng(seed).standard_normal((n, 2)), 10.0 ** (snr_db / 10.0))
     a = _class_representatives(3)
     stack = a[a[:, 0, 0] * a[:, 1, 1] != a[:, 0, 1] * a[:, 1, 0]].astype(float)
@@ -68,6 +90,8 @@ def test_stacked_effective_noise_matches_single_matrix_calls(n, snr_db, seed):
 
     singles = [outcome(af) for af in stack]
     stacked = outcome(stack)
+    for af in (stack, *stack):
+        assert_matches_reference(ch, af)
     if isinstance(stacked, str):
         assert stacked in singles
         return

@@ -296,7 +296,7 @@ class TestBatchedScanMatchesReference:
         while checked < 6:
             ch = ChannelInstance(rng.standard_normal((int(rng.integers(1, 4)), 2)),
                                  10.0 ** rng.uniform(0.5, 3.5))
-            _, l, _ = _effective_noise(ch, signed)
+            _, l = _effective_noise(ch, signed)
             if _monotone(np.diagonal(l, axis1=1, axis2=2)).any():
                 continue
             matrices, perms, rates, corner = _scan_box(ch, bound)
@@ -320,7 +320,7 @@ class TestBatchedScanMatchesReference:
         for _ in range(300):
             h = rng.standard_normal((int(rng.integers(1, 4)), 2)) * 10.0 ** rng.uniform(-3, 3)
             ch = ChannelInstance(h, 10.0 ** rng.uniform(-1.0, 12.0))
-            _, l, _ = _effective_noise(ch, stack)
+            _, l = _effective_noise(ch, stack)
             per_step = (-np.log2(np.diagonal(l[rows], axis1=1, axis2=2))).tolist()
             first, second = (list(mmse_sic_plan(ch, order).rates) for order in ((0, 1), (1, 0)))
             assert per_step == [first, second, first, second]
@@ -396,7 +396,7 @@ class TestRowSignClasses:
 
     def test_sign_flips_change_no_rate_or_check(self):
         """The premise of the scan: D A gives the same diagonal of L bit for
-        bit, and would fail the kernel's cross-checks, with the same error,
+        bit, and would fail the kernel's snr L L^T check, with the same error,
         exactly when A does. Every nonsingular matrix of the bound-3 box is
         D A for one representative A. Up to 90 dB no check fails."""
         rng = np.random.default_rng(77)
@@ -408,7 +408,7 @@ class TestRowSignClasses:
 
             def outcome(a):
                 try:
-                    _, l, _ = _effective_noise(ch, a.astype(float))
+                    _, l = _effective_noise(ch, a.astype(float))
                 except IfwbError as exc:
                     return str(exc)
                 return np.diag(l).tobytes()

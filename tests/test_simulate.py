@@ -309,10 +309,15 @@ def _mono_finalize(cfg, odd, eq_idx, y_eff, parity):
     return result, (eq_idx, stream_hat)
 
 
+def _equalizer(cfg):
+    """The MMSE equalizer toward cfg.A, A H^T (I/snr + H H^T)^{-1}."""
+    return cfg.A.astype(float) @ cfg.ch.mmse_equalizer
+
+
 def _mono_successive_if(cfg, noise_scale):
     model = if_effective_model(cfg.ch, cfg.A)
     odd, y, parity = _mono_draw(cfg, noise_scale)
-    y_eff = y @ model.B.T
+    y_eff = y @ _equalizer(cfg).T
     c, sq, m = cfg.symbol_scale, math.sqrt(cfg.ch.snr), cfg.ch.num_streams
     w = np.zeros((cfg.trials, m))
     eq_idx = np.zeros((cfg.trials, m), dtype=np.int64)
@@ -328,7 +333,6 @@ def _mono_successive_if(cfg, noise_scale):
 
 def _mono_lr_aided_sic(cfg, noise_scale):
     filters = gdfe_filters(cfg.ch, cfg.A)
-    model = if_effective_model(cfg.ch, cfg.A)
     odd, y, parity = _mono_draw(cfg, noise_scale)
     y_fwd = y @ filters.B.T
     c, m = cfg.symbol_scale, cfg.ch.num_streams
@@ -340,7 +344,7 @@ def _mono_lr_aided_sic(cfg, noise_scale):
         k_hat = _mono_slice(target, c, parity[step])
         v_hat[:, step] = c * (2 * k_hat + parity[step]).astype(float)
         eq_idx[:, step] = k_hat
-    return _mono_finalize(cfg, odd, eq_idx, y @ model.B.T, parity)
+    return _mono_finalize(cfg, odd, eq_idx, y @ _equalizer(cfg).T, parity)
 
 
 _DECODERS = [
@@ -430,14 +434,14 @@ class TestReceivedSignal:
         ch = ChannelInstance(np.random.default_rng([m, n]).standard_normal((n, m)), 100.0)
         cfg = SimConfig(ch=ch, A=np.eye(m), pam_points=16, trials=trials, seed=m * n)
         x = cfg.symbol_scale * _mono_draw(cfg, 0.0)[0].astype(float)
-        model, decode = simulate._successive_if(cfg)
+        decode = simulate._successive_if(cfg)
         seen = []
 
         def spy(y, y_eff, v_int):
             seen.append(y.copy())
             decode(y, y_eff, v_int)
 
-        simulate._run_chunks(cfg, 0.0, model, spy)
+        simulate._run_chunks(cfg, 0.0, spy)
         assert [len(y) for y in seen] == [5, 5, 1]
         for lo, y in zip(range(0, trials, chunk), seen):
             assert np.array_equal(y, x[lo:lo + len(y)] @ ch.H.T)
