@@ -158,10 +158,10 @@ def _json_write(obj, newline: str, parts: list) -> None:
     start with newline; a RatePoint is written through _point_template.
 
     A dict with str keys, a list or a tuple is written item by item; the loop
-    over its items appends the text of an exact finite float, int or str
-    itself and recurses only into the other items. A RatePoint holds what
-    region.enumerate_achievable_points makes: two finite float rates, a str
-    source, a 2x2 A and a permutation of ints, all in tuples.
+    over its items appends the text of an exact finite float, int, str, bool
+    or None itself and recurses only into the other items. A RatePoint holds
+    what region.enumerate_achievable_points makes: two finite float rates, a
+    str source, a 2x2 A and a permutation of ints, all in tuples.
     """
     append = parts.append
     kind = type(obj)
@@ -193,6 +193,10 @@ def _json_write(obj, newline: str, parts: list) -> None:
             append(int.__repr__(value))
         elif kind is str:
             append(_json_str(value))
+        elif kind is bool:
+            append("true" if value else "false")
+        elif value is None:
+            append("null")
         else:
             _json_write(value, inner, parts)
     append(newline + ("]" if keys is None else "}"))
@@ -203,10 +207,11 @@ def _json_text(report) -> str:
     with each RatePoint in it written through _point_template.
 
     With indent set, json.dumps cannot use its C encoder; this writer handles
-    the exact float, int, str, dict, list and tuple that reports are made of,
-    appends every piece of text to one list and joins it once. It hands every
-    other value to json.dumps, which also raises its TypeError. JSON strings
-    hold no raw newline, so re-indenting json.dumps text is safe.
+    the exact float, int, str, bool, None, dict, list and tuple that reports
+    are made of, appends every piece of text to one list and joins it once.
+    It hands every other value to json.dumps, which also raises its
+    TypeError. JSON strings hold no raw newline, so re-indenting json.dumps
+    text is safe.
     """
     parts = []
     _json_write(report, "\n", parts)
@@ -432,13 +437,19 @@ def cmd_sweep(args) -> int:
             raise CliError(f"unknown scheme {s!r}; choose from {', '.join(SCHEMES)}")
     h = _read_channel(args)
     mode = _MODES[args.mode]
+    uses_a = "if" in schemes or "s-if" in schemes
 
     lines = ["snr_db,scheme,symmetric_rate,sum_rate"]
+    a_opt = None
     for snr_db in snr_list:
         ch = ChannelInstance(h, _snr_linear(snr_db))
         m = ch.num_streams
         ident = np.eye(m, dtype=np.int64)
-        a_opt = optimal_a(ch, mode, bound=args.coeff_bound)
+        if uses_a:
+            # exact KZ starts from the previous SNR's transform: the same A up
+            # to row signs, so the same rates, with less reduction work
+            start = a_opt.T if mode == "kz_exact" and a_opt is not None else None
+            a_opt = optimal_a(ch, mode, bound=args.coeff_bound, start=start)
         for scheme in schemes:
             if scheme == "zf-baseline":
                 r = if_rates(ch, ident)

@@ -46,12 +46,27 @@ MAX_BRUTE_BOUND = 5
 # ---------------------------------------------------------------------------
 
 def int_det(a) -> int:
-    """Exact determinant of an integer matrix via fraction-free (Bareiss) elimination."""
+    """Exact determinant of an integer matrix.
+
+    A triangular matrix, with every entry on one side of the diagonal zero,
+    gets the product of its diagonal, which is what the elimination returns
+    for it; any other matrix goes through fraction-free (Bareiss) elimination.
+    """
     arr = np.asarray(a)
     mat = (arr.astype(np.int64) if arr.dtype.kind in "fb" else arr).tolist()
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("determinant requires a square matrix")
+    if not any(any(row[:i]) for i, row in enumerate(mat)) or not any(
+            any(row[i + 1:]) for i, row in enumerate(mat)):
+        return math.prod(row[i] for i, row in enumerate(mat))
+    return _bareiss(mat)
+
+
+def _bareiss(mat: list) -> int:
+    """Exact determinant of a square matrix of Python ints, given as a list of
+    rows, by fraction-free (Bareiss) elimination; mat is overwritten."""
+    n = len(mat)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -71,12 +86,17 @@ def int_det(a) -> int:
     return sign * mat[n - 1][n - 1]
 
 
-def is_unimodular(u) -> bool:
-    """True iff u is integer with determinant exactly +-1."""
+def _integer_det(u) -> int:
+    """det u, exact, or 0 when u has a non-integer entry."""
     arr = np.asarray(u)
     if arr.dtype.kind == "f" and not np.all(arr == np.round(arr)):
-        return False
-    return abs(int_det(arr)) == 1
+        return 0
+    return int_det(arr)
+
+
+def is_unimodular(u) -> bool:
+    """True iff u is integer with determinant exactly +-1."""
+    return abs(_integer_det(u)) == 1
 
 
 def _identity(m: int) -> list:
@@ -148,6 +168,7 @@ class ReductionReport:
     transform: np.ndarray  # int64, det +-1 exactly
     method: str
     original_basis: np.ndarray = field(repr=False)
+    det: int = field(init=False, repr=False)  # det(transform), +-1, from the check below
 
     @functools.cached_property
     def gram_schmidt_norms(self) -> np.ndarray:
@@ -155,8 +176,10 @@ class ReductionReport:
         return np.sqrt(_gso(self.reduced_basis)[2])
 
     def __post_init__(self):
-        if not is_unimodular(self.transform):
+        det = _integer_det(self.transform)
+        if abs(det) != 1:
             raise ValueError("reduction transform is not unimodular")
+        object.__setattr__(self, "det", det)
         lhs = self.original_basis @ self.transform.astype(float)
         scale = max(np.abs(self.reduced_basis).max(), 1e-300)
         if np.abs(lhs - self.reduced_basis).max() > 1e-9 * scale:
@@ -252,9 +275,17 @@ def lll_reduce(basis, delta: float = 0.75) -> ReductionReport:
     return _make_report(original, _lll(original, delta)[1], "lll")
 
 
-def _lll(original: np.ndarray, delta: float):
-    """A validated basis LLL-reduced: its columns, transform and Gram-Schmidt data."""
-    cols, u = original.T.tolist(), _identity(original.shape[1])
+def _lll(original: np.ndarray, delta: float, start: np.ndarray | None = None):
+    """A validated basis LLL-reduced: its columns, transform and Gram-Schmidt data.
+
+    With start, an integer matrix, LLL runs on original @ start, which must
+    pass validate_basis, and the transform starts at start, so it is still
+    over original.
+    """
+    if start is None:
+        cols, u = original.T.tolist(), _identity(original.shape[1])
+    else:
+        cols, u = validate_basis(original @ start).T.tolist(), start.T.tolist()
     return (cols, u, *_lll_inplace(cols, u, delta))
 
 
@@ -263,9 +294,13 @@ def _lll(original: np.ndarray, delta: float):
 # ---------------------------------------------------------------------------
 
 _TIE = 1e-12  # projected costs within this relative distance of the least tie
+# A started reduction keeps its shortest vectors only where no other vector
+# comes within this relative distance, and its Gram-Schmidt coefficients
+# only where each is this far inside 1/2 (kz_reduce).
+_START_MARGIN = 1e-6
 
 
-def _shortest(mu: list, nsq: list, u: list, k: int) -> list:
+def _shortest(mu: list, nsq: list, u: list, k: int, margin: float = 0.0) -> list | None:
     """Shortest nonzero coefficient vector over columns k..., ties broken reproducibly.
 
     Cost model: ||sum_i z_i b_i||^2 = sum_{j>=k} nsq[j] * (z_j + sum_{i>j} mu[i][j] z_i)^2,
@@ -275,10 +310,15 @@ def _shortest(mu: list, nsq: list, u: list, k: int) -> list:
     nonzero entry is positive is visited. Among costs within a relative _TIE
     of the least, the largest sign-normalized coefficient vector over the
     input basis, sum_i z_i u[k + i] (u the transform's columns), wins.
+
+    With margin > _TIE the search also reaches costs within a relative margin
+    of the least, and returns None if any vector but the winner has one: the
+    winner is then not clear of the rounding. The winner itself is the same.
     """
     m = len(nsq)
     best_z, best_key, best_cost = [1] + [0] * (m - k - 1), None, nsq[k]
     lower, radius = best_cost * (1.0 - _TIE), best_cost * (1.0 + _TIE)
+    reach, best_z_cost, second = max(radius, best_cost * (1.0 + margin)), best_cost, math.inf
     z = [0] * m
 
     def key(zk: list) -> list:
@@ -286,7 +326,7 @@ def _shortest(mu: list, nsq: list, u: list, k: int) -> list:
         return v if next(a for a in v if a) > 0 else [-a for a in v]
 
     def descend(level: int, partial: float, signed: bool) -> None:
-        nonlocal best_z, best_key, best_cost, lower, radius
+        nonlocal best_z, best_key, best_cost, lower, radius, reach, best_z_cost, second
         center = 0
         for i in range(level + 1, m):
             center -= mu[i][level] * z[i]
@@ -296,29 +336,36 @@ def _shortest(mu: list, nsq: list, u: list, k: int) -> list:
             # while z is 0 above this level, center is 0 and only z >= 0 is tried
             for cand in ((z0,) if step == 0 else (z0 + step, z0 - step) if signed else (step,)):
                 cost = partial + nsq[level] * (cand - center) ** 2
-                if cost > radius:
+                if cost > reach:
                     continue
                 advanced = True
                 z[level] = cand
                 if level > k:
                     descend(level - 1, cost, signed or cand != 0)
                 elif signed or cand:
-                    if cost < lower:
-                        best_z, best_key = z[k:], None
+                    if cost > radius:  # beyond the ties, within the margin
+                        second = min(second, cost)
+                    elif cost < lower:
+                        second = min(second, best_z_cost)
+                        best_z, best_key, best_z_cost = z[k:], None, cost
                     elif z[k:] != best_z:  # a tie with another vector
                         best_key = best_key or key(best_z)
                         if (cand_key := key(z[k:])) > best_key:
-                            best_z, best_key = z[k:], cand_key
+                            second = min(second, best_z_cost)
+                            best_z, best_key, best_z_cost = z[k:], cand_key, cost
+                        else:
+                            second = min(second, cost)
                     if cost < best_cost:
                         best_cost = cost
                         lower, radius = cost * (1.0 - _TIE), cost * (1.0 + _TIE)
+                        reach = max(radius, cost * (1.0 + margin))
             z[level] = 0
             if step > 0 and not advanced:
                 # both branches exceeded the radius; deeper steps only grow
                 break
 
     descend(m - 1, 0.0, False)
-    return best_z
+    return None if margin and second <= reach else best_z
 
 
 def shortest_vector(basis):
@@ -371,7 +418,7 @@ def _insert(cols: list, u: list, k: int, z: list) -> None:
     u[k], u[s] = u[s], u[k]
 
 
-def kz_reduce(basis) -> ReductionReport:
+def kz_reduce(basis, start=None) -> ReductionReport:
     """Exact Korkin-Zolotarev reduction by insertion into one LLL basis.
 
     Each Gram-Schmidt vector of the output is a shortest nonzero vector of
@@ -382,20 +429,45 @@ def kz_reduce(basis) -> ReductionReport:
     Ties among equally short vectors go to the largest input-basis
     coefficients, so an orthogonal basis keeps the transform I. Guarded to
     dimension 10 because every level runs an exact enumeration.
+
+    start, an M x M integer matrix that must be unimodular, is the transform
+    to start from: the reduction runs on basis @ start, while the transform
+    and the tie key stay over basis. From a nearby lattice's transform (the
+    previous SNR of a sweep) LLL and the insertions have less to do. The
+    result is kz_reduce(basis)'s up to column signs: each level's shortest
+    vector is kept only where every other vector is a relative
+    _START_MARGIN longer, and the result only where every Gram-Schmidt
+    coefficient is _START_MARGIN inside 1/2. Then each column is the one
+    size-reduced lift of the same projected vector, whatever the start and
+    the rounding. Otherwise a tie could go to another vector, since the tie
+    key reads the lifts the start leads to, and the reduction runs again
+    without the start. A start that is not unimodular fails the report's
+    check.
     """
     original = validate_basis(basis)
-    if original.shape[1] > MAX_ENUM_DIM:
+    m = original.shape[1]
+    if m > MAX_ENUM_DIM:
         raise DimensionTooLarge(f"exact KZ guarded to dimension {MAX_ENUM_DIM}")
-    cols, u, mu, nsq = _lll(original, 0.99)
-    m = len(cols)
+    margin = 0.0
+    if start is not None:
+        start = np.asarray(start)
+        if start.shape != (m, m) or start.dtype.kind not in "iu":
+            raise ValueError(f"start must be an integer {m}x{m} matrix, "
+                             f"got {start.dtype} of shape {start.shape}")
+        margin = _START_MARGIN
+    cols, u, mu, nsq = _lll(original, 0.99, start)
     for k in range(m - 1):
-        z = _shortest(mu, nsq, u, k)
+        z = _shortest(mu, nsq, u, k, margin)
+        if z is None:
+            return kz_reduce(original)
         if any(z[1:]):
             _insert(cols, u, k, z)  # changes columns k... only
             mu, nsq = _lll_inplace(cols, u, 0.99, lo=k + 1)
     # size-reduce the inserted columns; mu is current (each LLL starts from _gso)
     for k in range(1, m):
         _size_reduce_column(cols, u, mu, k)
+    if margin and any(abs(v) > 0.5 - margin for row in mu for v in row):
+        return kz_reduce(original)
     return _make_report(original, u, "kz_exact")
 
 

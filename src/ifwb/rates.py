@@ -330,13 +330,19 @@ def if_effective_model(ch: ChannelInstance, a) -> EffectiveNoiseModel:
     model carries as det. The model is built once per (channel, A) and
     shared by later calls; its arrays are read-only.
     """
-    a = as_integer_matrix(a)
+    return _effective_model(ch, as_integer_matrix(a))
+
+
+def _effective_model(ch: ChannelInstance, a: np.ndarray, det: int | None = None):
+    """if_effective_model for an int64 matrix a from as_integer_matrix. det,
+    when given, is det a, exact and nonzero, and is not computed again."""
     key = a.tobytes()
     if key not in ch._effective_models:
         m = ch.num_streams
         if a.shape[0] != m:
             raise ValueError(f"A must be {m}x{m} for this channel, got {a.shape}")
-        det = _validate_full_rank(a)
+        if det is None:
+            det = _validate_full_rank(a)
         k, l = _effective_noise(ch, a.astype(float))
         ch._effective_models[key] = EffectiveNoiseModel(
             A=_read_only(a), Ktilde=_read_only(k), L=_read_only(l), det=det,
@@ -553,23 +559,33 @@ def feasible_allocations(ch: ChannelInstance, a) -> list[AllocationPlan]:
 # optimal integer matrix
 # ---------------------------------------------------------------------------
 
-def optimal_a(ch: ChannelInstance, mode: str = "kz_exact", bound: int | None = None) -> np.ndarray:
+def optimal_a(ch: ChannelInstance, mode: str = "kz_exact", bound: int | None = None,
+              start=None) -> np.ndarray:
     """Integer matrix minimizing the worst per-step prediction residual.
 
     Modes:
     - "kz_exact": exact Korkin-Zolotarev reduction of the lattice spanned by
-      G^T; the returned A is unimodular and provably optimal.
+      G^T; the returned A is unimodular and provably optimal. ``start``, an
+      earlier result's A.T (a sweep's previous SNR), is kz_reduce's starting
+      transform; A is then the same up to row signs.
     - "kz_lll": LLL with delta = 0.99 plus one size reduction of G^T (no
       dimension guard, optimality not guaranteed).
     - "brute_force": exhaustive search over entries in [-bound, bound]
       (requires ``bound``; dimension guarded), used as an independent oracle.
+
+    The channel's effective model of a KZ or LLL matrix A = U^T is built here
+    with det A = det U from the reduction report's check, so it is not
+    computed again.
     """
+    if start is not None and mode != "kz_exact":
+        raise ValueError(f"start applies to mode 'kz_exact' only, not {mode!r}")
     g = ch.sic_cholesky
-    if mode == "kz_exact":
-        report = kz_reduce(g.T)
-        return report.transform.T.copy()
-    if mode == "kz_lll":
-        report = kz_approx_successive_lll(g.T)
+    if mode in ("kz_exact", "kz_lll"):
+        if mode == "kz_exact":
+            report = kz_reduce(g.T, start=start)
+        else:
+            report = kz_approx_successive_lll(g.T)
+        _effective_model(ch, report.transform.T.copy(), report.det)  # the model keeps its copy
         return report.transform.T.copy()
     if mode == "brute_force":
         if bound is None:

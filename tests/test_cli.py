@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import EXAMPLE1_H, EXAMPLE1_SNR_DB
 from ifwb import __version__
+from ifwb import rates as rates_module
 from ifwb.cli import _json_text, main
 from ifwb.rates import ChannelInstance
 from ifwb.region import RatePoint, enumerate_achievable_points
@@ -478,6 +479,48 @@ class TestSweep:
                 "--snr-db", "10", "--schemes", "s-if"]
         assert main(argv) == 2
         assert "differ in shape" in capsys.readouterr().err
+
+    def test_schemes_without_a_compute_no_a(self, capsys, tmp_path):
+        """zf-baseline and mmse-sic read no A, so neither the KZ dimension
+        guard nor brute force's missing bound stops them; the schemes that
+        read A still exit 4 and 2."""
+        path = tmp_path / "h11.csv"
+        h = np.random.default_rng(11).standard_normal((11, 11))
+        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in h.tolist()))
+        argv = ["sweep", "--channel", str(path), "--snr-db", "0,20"]
+        assert main(argv + ["--schemes", "zf-baseline,mmse-sic"]) == 0
+        csv = capsys.readouterr().out
+        assert [line.split(",")[:2] for line in csv.splitlines()] == [
+            ["snr_db", "scheme"], ["0.0", "zf-baseline"], ["0.0", "mmse-sic"],
+            ["20.0", "zf-baseline"], ["20.0", "mmse-sic"]]
+        assert main(argv + ["--schemes", "mmse-sic,zf-baseline", "--mode", "brute"]) == 0
+        assert sorted(capsys.readouterr().out.splitlines()) == sorted(csv.splitlines())
+        assert main(argv + ["--schemes", "zf-baseline,s-if"]) == 4
+        assert capsys.readouterr().err == "ifwb: dimension guard: exact KZ guarded to dimension 10\n"
+        assert main(argv + ["--schemes", "if", "--mode", "brute"]) == 2
+        assert capsys.readouterr().err == "ifwb: brute_force mode requires an entry bound\n"
+
+    @pytest.mark.parametrize("snr_db", ["0,15,30,45,60", "60,-10,30,5,120,20", "5,5,25,25,0,0"])
+    def test_kz_started_from_the_previous_snr_keeps_the_csv(self, capsys, tmp_path, monkeypatch, snr_db):
+        """The sweep's KZ starts each SNR from the previous transform; its CSV
+        is byte for byte that of a sweep whose KZ starts from scratch, also
+        on channels whose lattices tie (circulant, all-ones plus I)."""
+        rng = np.random.default_rng(34)
+        channels = [rng.standard_normal((n, m)) for m, n in ((2, 1), (4, 4), (6, 8), (8, 5), (10, 10))]
+        channels += [np.array([[(1.0, 0.5, 0.25, 0.1, 0.3)[(j - i) % m] for j in range(m)]
+                               for i in range(m)]) for m in (4, 5)]
+        channels.append(np.ones((5, 5)) + np.eye(5))
+        outputs = []
+        for i, h in enumerate(channels):
+            path = tmp_path / f"h{i}.csv"
+            path.write_text("".join(",".join(map(repr, row)) + "\n" for row in h.tolist()))
+            assert main(["sweep", "--channel", str(path), f"--snr-db={snr_db}"]) == 0
+            outputs.append(capsys.readouterr().out)
+        kz_reduce = rates_module.kz_reduce
+        monkeypatch.setattr(rates_module, "kz_reduce", lambda basis, start=None: kz_reduce(basis))
+        for i, out in enumerate(outputs):
+            assert main(["sweep", "--channel", str(tmp_path / f"h{i}.csv"), f"--snr-db={snr_db}"]) == 0
+            assert capsys.readouterr().out == out
 
 
 @pytest.mark.parametrize("command, flag, message", [

@@ -2,10 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import conditioned_channel
 from ifwb.errors import DegenerateBasis, DimensionTooLarge
 from ifwb.lattice import (
+    _bareiss,
     _sign_representatives,
     brute_force_min_max,
     int_det,
@@ -29,6 +32,16 @@ def _ok(b):
         return False
 
 
+def _random_unimodular(rng, dim):
+    """Unimodular integer matrix: a product of signed permutations and
+    elementary column operations with multipliers in [-2, 2]."""
+    u = np.eye(dim, dtype=np.int64)[:, rng.permutation(dim)] * rng.choice([-1, 1], size=dim)
+    for _ in range(2 * dim):
+        i, j = rng.choice(dim, size=2, replace=False)
+        u[:, i] += int(rng.integers(-2, 3)) * u[:, j]
+    return u
+
+
 def draw_basis(rng, dim, ambient=None):
     """Random integer basis, resampled until the columns are independent."""
     ambient = ambient or dim
@@ -44,6 +57,30 @@ class TestIntegerHelpers:
         for _ in range(50):
             a = rng.integers(-9, 10, size=(4, 4))
             assert int_det(a) == round(np.linalg.det(a.astype(float)))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), m=st.integers(1, 8), shape=st.sampled_from(["upper", "lower", "full"]))
+    def test_int_det_matches_the_elimination(self, data, m, shape):
+        """The diagonal product taken for triangular matrices, diagonal zeros
+        included, is the determinant that Bareiss elimination returns."""
+        entries = data.draw(st.lists(st.integers(-6, 6), min_size=m * m, max_size=m * m))
+        a = np.array(entries, dtype=np.int64).reshape(m, m)
+        zeros = data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
+        a[np.diag_indices(m)] *= ~np.array(zeros)
+        if shape != "full":
+            a = np.triu(a) if shape == "upper" else np.tril(a)
+        assert int_det(a) == _bareiss(a.tolist())
+        assert int_det(a.astype(float)) == _bareiss(a.tolist())
+
+    def test_triangular_matrix_skips_the_elimination(self, monkeypatch):
+        import ifwb.lattice as lattice_module
+
+        a = np.array([[2, 0, 0], [5, -3, 0], [1, 4, 7]], dtype=np.int64)
+        want = _bareiss(a.tolist())
+        assert want == -42
+        monkeypatch.setattr(lattice_module, "_bareiss", None)
+        assert int_det(a) == int_det(a.T) == want
+        assert int_det(np.zeros((3, 3), dtype=np.int64)) == 0
 
 
 class TestShortestVector:
@@ -246,6 +283,60 @@ class TestKz:
             np.testing.assert_array_equal(cols[:, :k], basis[:, :k])
             assert is_unimodular(u)
             np.testing.assert_allclose(basis @ u, cols, atol=1e-9)
+
+    def test_start_transform_gives_a_kz_basis_over_the_input(self, monkeypatch):
+        """From a unimodular start, on bases without near ties, the one
+        reduction returns a KZ basis over the input: the transform without
+        the start, up to column signs."""
+        import ifwb.lattice as lattice_module
+
+        rng = np.random.default_rng(34)
+        cases = [(rng.standard_normal((dim, dim)), _random_unimodular(rng, dim))
+                 for dim in (2, 3, 4, 5, 6, 8) for _ in range(6)]
+        cold = [kz_reduce(basis).transform for basis, _ in cases]
+        calls = []
+        monkeypatch.setattr(lattice_module, "kz_reduce", lambda *a, **kw: calls.append(a))
+        for (basis, start), want in zip(cases, cold):
+            rep = kz_reduce(basis, start=start)
+            assert is_kz_reduced(rep.reduced_basis)
+            assert rep.det == int_det(rep.transform) and abs(rep.det) == 1
+            np.testing.assert_array_equal(rep.reduced_basis, basis @ rep.transform.astype(float))
+            assert (np.all(rep.transform == want, axis=0) | np.all(rep.transform == -want, axis=0)).all()
+        assert calls == []
+
+    def test_start_that_could_decide_a_tie_is_dropped(self):
+        """Where a tie, or a coefficient of 1/2, leaves the reduced basis to the
+        lifts the start leads to, the result is still the one without the
+        start, up to column signs."""
+        rng = np.random.default_rng(36)
+        # |b2| = |b2 - b1|: mu = 1/2, and the start lifts b2 as b2 - b1
+        cases = [(np.array([[1.0, 0.5], [0.0, 2.0]]), np.array([[1, -1], [0, 1]]))]
+        for dim in (2, 3, 4, 5):  # integer bases, many of them with ties
+            cases += [(draw_basis(rng, dim), _random_unimodular(rng, dim)) for _ in range(8)]
+        for scale in (1.0, 0.1, 3.0):  # c I: every level ties
+            cases += [(scale * np.eye(4), _random_unimodular(rng, 4)) for _ in range(4)]
+        # a circulant channel, started from a sweep's previous SNR: projected
+        # vectors tie, and the tie key reads other lifts from this start
+        from ifwb.rates import ChannelInstance
+
+        h = np.array([[(1.0, 0.5, 0.25, 0.1)[(j - i) % 4] for j in range(4)] for i in range(4)])
+        for db0, db1 in ((10, 20), (30, 45)):
+            basis0, basis1 = (ChannelInstance(h, 10.0 ** (db / 10)).sic_cholesky.T for db in (db0, db1))
+            cases.append((basis1, kz_reduce(basis0).transform))
+        for basis, start in cases:
+            want, got = kz_reduce(basis).transform, kz_reduce(basis, start=start).transform
+            assert (np.all(got == want, axis=0) | np.all(got == -want, axis=0)).all()
+
+    def test_bad_start_raises(self):
+        basis = draw_basis(np.random.default_rng(35), 3)
+        twice = np.diag([2, 1, 1])  # det 2: the report's unimodularity check
+        with pytest.raises(ValueError, match="reduction transform is not unimodular"):
+            kz_reduce(basis, start=twice)
+        with pytest.raises(DegenerateBasis):
+            kz_reduce(basis, start=np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]]))
+        for start in (np.eye(2, dtype=np.int64), np.eye(3), np.eye(3, dtype=bool), [[1, 0, 0]]):
+            with pytest.raises(ValueError, match="start must be an integer 3x3 matrix"):
+                kz_reduce(basis, start=start)
 
     def test_dimension_guard(self):
         with pytest.raises(DimensionTooLarge):

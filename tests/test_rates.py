@@ -958,6 +958,31 @@ class TestOptimalA:
         with pytest.raises(DimensionTooLarge):
             optimal_a(ch, "kz_exact")
 
+    @pytest.mark.parametrize("mode", ["kz_exact", "kz_lll"])
+    def test_one_determinant_per_reduction(self, mode, monkeypatch):
+        """The reduction report's exact det U is the model's det A, A = U^T:
+        the model of the returned A computes no determinant of its own."""
+        from ifwb import lattice as lattice_module
+
+        ch = conditioned_channel(np.random.default_rng(44), 6, 5, 25.0)
+        reduction_dets, model_dets = [], []
+        monkeypatch.setattr(lattice_module, "int_det", lambda a: reduction_dets.append(a) or int_det(a))
+        monkeypatch.setattr(rates_module, "int_det", lambda a: model_dets.append(a) or int_det(a))
+        a = optimal_a(ch, mode)
+        model = if_effective_model(ch, a)
+        assert len(reduction_dets) == 1 and model_dets == []
+        assert model.det == int_det(a) and abs(model.det) == 1 and model.det_gap == 0.0
+        np.testing.assert_array_equal(model.A, a)
+        assert a.flags.writeable and not model.A.flags.writeable
+
+    def test_start_is_for_exact_kz_only(self):
+        ch = ChannelInstance(np.eye(2), 4.0)
+        eye = np.eye(2, dtype=np.int64)
+        np.testing.assert_array_equal(optimal_a(ch, "kz_exact", start=eye), eye)
+        for mode in ("kz_lll", "brute_force"):
+            with pytest.raises(ValueError, match="start applies to mode 'kz_exact' only"):
+                optimal_a(ch, mode, bound=2, start=eye)
+
 
 class TestGdfeFilters:
     def test_identity_is_trivial(self):

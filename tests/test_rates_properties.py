@@ -7,6 +7,8 @@ scan fail unless the channel-derived matrices come from the square-root (QR)
 kernel, and the checks must not false-alarm.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from ifwb.rates import (
     ChannelInstance,
     _effective_noise,
     if_effective_model,
+    if_rates,
     optimal_a,
     successive_if_rates,
     white_input_capacity,
@@ -28,13 +31,14 @@ PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, d
 
 
 @st.composite
-def seeded_channel(draw, dims, max_db=120.0, square=False):
+def seeded_channel(draw, dims, max_db=120.0, square=False, max_cond=1e9):
     """Channel with M in dims, N in 1..M+2 (other than M unless square),
-    0-max_db dB; H from a drawn seed."""
+    0-max_db dB, H Gaussian or with a condition number up to max_cond; H
+    from a drawn seed."""
     m = draw(st.sampled_from(dims))
     n = draw(st.integers(1, m + 2).filter(lambda n: square or n != m))
     snr_db = draw(st.floats(0.0, max_db))
-    cond = draw(st.one_of(st.none(), st.floats(0.0, 9.0).map(lambda e: 10.0**e)))
+    cond = draw(st.one_of(st.none(), st.floats(0.0, math.log10(max_cond)).map(lambda e: 10.0**e)))
     seed = draw(st.integers(0, 2**32 - 1))
     note(f"ch = conditioned_channel(default_rng({seed}), {m}, {n}, {snr_db!r}, {cond!r})")
     return conditioned_channel(np.random.default_rng(seed), m, n, snr_db, cond)
@@ -53,6 +57,30 @@ def test_kz_rates_telescope_to_white_input_capacity(ch):
     sif = successive_if_rates(ch, optimal_a(ch, "kz_exact"))
     assert sif.det_gap == 0.0
     assert abs(sif.sum_rate - white_input_capacity(ch)) <= 1e-9
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(ch=seeded_channel(dims=range(2, 11), max_db=0.0, square=True, max_cond=1e6),
+       snr_db=st.lists(st.floats(-10.0, 120.0), min_size=2, max_size=6),
+       order=st.sampled_from(["as drawn", "sorted", "repeated"]))
+def test_sweep_started_from_the_previous_snr_matches_a_cold_start(ch, snr_db, order):
+    """A sweep's KZ, started at each SNR from the previous SNR's transform,
+    gives the A of a reduction without the start up to row signs, and the
+    same IF and S-IF rates bit for bit (M 2-10, N 1..M+2, condition numbers
+    up to 1e6, -10 to 120 dB in any order, SNRs repeated). The drawn
+    channel's SNR is not used."""
+    if order == "sorted":
+        snr_db = sorted(snr_db)
+    elif order == "repeated":
+        snr_db = [v for v in snr_db for _ in range(2)]
+    warm = None
+    for db in snr_db:
+        at = [ChannelInstance(ch.H, 10.0 ** (db / 10.0)) for _ in range(2)]
+        cold = optimal_a(at[0], "kz_exact")
+        warm = optimal_a(at[1], "kz_exact", start=None if warm is None else warm.T)
+        assert (np.all(warm == cold, axis=1) | np.all(warm == -cold, axis=1)).all()
+        assert if_rates(at[1], warm).raw == if_rates(at[0], cold).raw
+        assert successive_if_rates(at[1], warm).per_step == successive_if_rates(at[0], cold).per_step
 
 
 @settings(PROPERTY_SETTINGS, max_examples=300)
