@@ -33,12 +33,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateBasis, DimensionTooLarge
+from .errors import DegenerateBasis, DimensionTooLarge, IfwbError
 from .linalg import as_matrix, cholesky_lower
 
 MAX_ENUM_DIM = 10
 MAX_BRUTE_DIM = 3
 MAX_BRUTE_BOUND = 5
+_KZ_TOL = 1e-9  # is_kz_reduced's relative slack on both conditions
 
 
 # ---------------------------------------------------------------------------
@@ -46,27 +47,12 @@ MAX_BRUTE_BOUND = 5
 # ---------------------------------------------------------------------------
 
 def int_det(a) -> int:
-    """Exact determinant of an integer matrix.
-
-    A triangular matrix, with every entry on one side of the diagonal zero,
-    gets the product of its diagonal, which is what the elimination returns
-    for it; any other matrix goes through fraction-free (Bareiss) elimination.
-    """
+    """Exact determinant of an integer matrix via fraction-free (Bareiss) elimination."""
     arr = np.asarray(a)
     mat = (arr.astype(np.int64) if arr.dtype.kind in "fb" else arr).tolist()
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("determinant requires a square matrix")
-    if not any(any(row[:i]) for i, row in enumerate(mat)) or not any(
-            any(row[i + 1:]) for i, row in enumerate(mat)):
-        return math.prod(row[i] for i, row in enumerate(mat))
-    return _bareiss(mat)
-
-
-def _bareiss(mat: list) -> int:
-    """Exact determinant of a square matrix of Python ints, given as a list of
-    rows, by fraction-free (Bareiss) elimination; mat is overwritten."""
-    n = len(mat)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -107,7 +93,7 @@ def _identity(m: int) -> list:
 def _matrix(cols: list, dtype=np.int64) -> np.ndarray:
     """The C-ordered matrix with the given column lists; int64 refuses silent overflow."""
     if dtype is np.int64 and any(abs(v) >= 2 ** 62 for col in cols for v in col):
-        raise OverflowError("unimodular transform entries exceed int64 range")
+        raise IfwbError("unimodular transform entries exceed int64 range")
     return np.array(cols, dtype=dtype).T.copy()
 
 
@@ -164,7 +150,7 @@ def _round_ties_to_zero(x: float) -> int:
 class ReductionReport:
     """Outcome of a basis reduction: reduced = original @ transform."""
 
-    reduced_basis: np.ndarray
+    reduced_basis: np.ndarray = field(init=False)  # original_basis @ transform
     transform: np.ndarray  # int64, det +-1 exactly
     method: str
     original_basis: np.ndarray = field(repr=False)
@@ -180,20 +166,11 @@ class ReductionReport:
         if abs(det) != 1:
             raise ValueError("reduction transform is not unimodular")
         object.__setattr__(self, "det", det)
-        lhs = self.original_basis @ self.transform.astype(float)
-        scale = max(np.abs(self.reduced_basis).max(), 1e-300)
-        if np.abs(lhs - self.reduced_basis).max() > 1e-9 * scale:
-            raise ValueError("reduced basis does not match original @ transform")
+        object.__setattr__(self, "reduced_basis", self.original_basis @ self.transform.astype(float))
 
 
 def _make_report(original, u: list, method) -> ReductionReport:
-    t = _matrix(u)
-    return ReductionReport(
-        reduced_basis=original @ t.astype(float),
-        transform=t,
-        method=method,
-        original_basis=original,
-    )
+    return ReductionReport(transform=_matrix(u), method=method, original_basis=original)
 
 
 # ---------------------------------------------------------------------------
@@ -482,14 +459,15 @@ def kz_approx_successive_lll(basis) -> ReductionReport:
     return _make_report(original, _lll(original, 0.99)[1], "kz_successive_lll")
 
 
-def is_kz_reduced(basis, tol: float = 1e-9) -> bool:
-    """Verify both KZ conditions by explicit enumeration of projected lattices."""
+def is_kz_reduced(basis) -> bool:
+    """Verify both KZ conditions by explicit enumeration of projected lattices,
+    each to a relative _KZ_TOL."""
     cols = validate_basis(basis)
     m = cols.shape[1]
     if m > MAX_ENUM_DIM:
         raise DimensionTooLarge(f"KZ verification guarded to dimension {MAX_ENUM_DIM}")
     bstar, mu, nsq = _gso(cols)
-    if np.abs(mu).max() > 0.5 + tol:  # condition (b): size-reduced coefficients
+    if np.abs(mu).max() > 0.5 + _KZ_TOL:  # condition (b): size-reduced coefficients
         return False
     # condition (a): each projected Gram-Schmidt vector is a projected-lattice shortest
     for i in range(m):
@@ -497,7 +475,7 @@ def is_kz_reduced(basis, tol: float = 1e-9) -> bool:
         for k in range(i):
             proj -= np.outer(bstar[:, k], (bstar[:, k] @ proj) / nsq[k])
         _, length = shortest_vector(proj)
-        if math.sqrt(nsq[i]) > length * (1.0 + tol):
+        if math.sqrt(nsq[i]) > length * (1.0 + _KZ_TOL):
             return False
     return True
 

@@ -39,6 +39,9 @@ from .lattice import (
 from .linalg import as_matrix
 
 MAX_PSEUDO_TRI_DIM = 6
+# bits an effective model's log2 det L may miss log2|det A| + log2 det G by;
+# models that pass miss it by at most about 8e-12 bits (M 1-8, 0-300 dB)
+IDENTITY_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -256,66 +259,31 @@ def _mt(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-1, -2)
 
 
-def _gram(x: np.ndarray) -> np.ndarray:
-    """x x^T for each matrix over the trailing two axes.
-
-    numpy's matmul runs its non-BLAS loop on a stack whose right operand is a
-    transposed view, so a stack is multiplied by a C-contiguous copy of its
-    transpose; a single matrix keeps the view, which BLAS takes as it is.
-    """
-    xt = _mt(x)
-    return x @ (np.ascontiguousarray(xt) if x.ndim > 2 else xt)
-
-
-def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y for each matrix of x over its trailing two axes; a stack as one
-    2-D product (S m, k) @ (k, n), reshaped back: one BLAS call, not S."""
-    if x.ndim == 2:
-        return x @ y
-    return (x.reshape(-1, x.shape[-1]) @ y).reshape(x.shape[:-1] + y.shape[-1:])
-
-
-def _peak(x: np.ndarray) -> np.ndarray:
-    """max(max|x_ij|, 1e-300) of each matrix over the trailing two axes.
-
-    A stack's maxima are one reduce over a contiguous (M*M, S) copy of |x|,
-    which runs along the stack, not one short reduce per matrix.
-    """
-    if x.ndim == 2:
-        return np.maximum(np.abs(x).max(axis=(-2, -1)), 1e-300)
-    flat = np.abs(x).reshape(-1, x.shape[-2] * x.shape[-1])
-    return np.maximum(np.ascontiguousarray(flat.T).max(axis=0), 1e-300).reshape(x.shape[:-2])
-
-
-def _exceeds(diff: np.ndarray, bound) -> bool:
-    """Whether some matrix of diff has an |entry| beyond its own bound.
-
-    A stack is compared elementwise with the bounds broadcast over each
-    matrix: true whenever a matrix's largest |entry| is beyond its bound, and
-    also when a NaN entry hides that largest one. A single matrix compares
-    its largest |entry|, which costs less than the elementwise test.
-    """
-    if diff.ndim == 2:
-        return bool(np.abs(diff).max(axis=(-2, -1)) > bound)
-    return bool((np.abs(diff) > bound[..., None, None]).any())
-
-
 def _effective_noise(ch: ChannelInstance, af: np.ndarray):
     """(Ktilde, L) for float integer matrices af of shape (..., M, M).
 
     With AG = A ch.sic_cholesky, Ktilde = snr (AG)(AG)^T, which is
     snr A (I + snr H^T H)^{-1} A^T because G G^T is that inverse; L is the
     transpose of the positive-diagonal R of the QR of (AG)^T, so
-    L L^T = (AG)(AG)^T without that product being factored. Each matrix of a
-    stack is checked on its own: snr L L^T must match Ktilde to 1e-9 of
-    max|Ktilde| of that matrix. A stack's product with G is one 2-D product
-    (_product).
+    L L^T = (AG)(AG)^T without that product being factored. AG is one 2-D
+    product (S M, M) @ (M, M) for a stack of S matrices. Each matrix is
+    checked on its own, elementwise, so a NaN cannot hide a breach:
+    snr L L^T must match Ktilde to 1e-9 of that matrix's max|Ktilde|, whose
+    maxima are one reduce along a contiguous (M*M, S) copy of |Ktilde|.
     """
-    ag = _product(af, ch.sic_cholesky)
-    ktilde = ch.snr * _gram(ag)
-    r = np.linalg.qr(_mt(ag), mode="r")
+    m = af.shape[-1]
+    ag = (af.reshape(-1, m) @ ch.sic_cholesky).reshape(af.shape)
+    agt = _mt(ag)
+    # numpy's matmul runs its non-BLAS loop on a stack whose right operand is
+    # a transposed view, so a stack takes a contiguous copy; a single matrix
+    # keeps the view, whose BLAS product has other last bits at some M from 9
+    # to 15, and ifwb simulate prints those bits as analytic_ktilde
+    ktilde = ch.snr * (ag @ (agt if ag.ndim == 2 else np.ascontiguousarray(agt)))
+    r = np.linalg.qr(agt, mode="r")
     l = _mt(r * _diagonal_signs(r)[..., None])
-    if _exceeds(ktilde - ch.snr * l @ _mt(l), 1e-9 * _peak(ktilde)):
+    flat = np.abs(ktilde).reshape(-1, m * m)
+    peak = np.maximum(np.ascontiguousarray(flat.T).max(axis=0), 1e-300)
+    if (np.abs(ktilde - ch.snr * l @ _mt(l)).reshape(-1, m * m) > 1e-9 * peak[:, None]).any():
         raise IfwbError("Ktilde does not match snr * L L^T")
     return ktilde, l
 
@@ -324,10 +292,13 @@ def if_effective_model(ch: ChannelInstance, a) -> EffectiveNoiseModel:
     """Generalized covariance Ktilde and Cholesky factor L for A.
 
     Ktilde = snr A (I + snr H^T H)^{-1} A^T is checked against snr L L^T to
-    1e-9 relative; the equalizer toward A is A @ ch.mmse_equalizer, computed
-    where it is read. This is the one check of a (channel, A) pair: A must
-    be an M x M integer matrix with a nonzero exact determinant, which the
-    model carries as det. The model is built once per (channel, A) and
+    1e-9 relative. That check is normwise and cannot see L lose a small
+    direction, so L's diagonal must also be positive and keep the sum-rate
+    identity sum log2 l_mm = log2|det A| + sum log2 g_mm to IDENTITY_TOL
+    bits. The equalizer toward A is A @ ch.mmse_equalizer, computed where it
+    is read. This is the one check of a (channel, A) pair: A must be an
+    M x M integer matrix with a nonzero exact determinant, which the model
+    carries as det. The model is built once per (channel, A) and
     shared by later calls; its arrays are read-only.
     """
     return _effective_model(ch, as_integer_matrix(a))
@@ -344,9 +315,17 @@ def _effective_model(ch: ChannelInstance, a: np.ndarray, det: int | None = None)
         if det is None:
             det = _validate_full_rank(a)
         k, l = _effective_noise(ch, a.astype(float))
+        # det L = |det A| det G, so the per-step rates sum to C_WI - log2|det A|;
+        # g_mm > 0, so l_mm / g_mm > 0 iff l_mm > 0, tested before any log2
+        ratios = (l.diagonal() / ch.sic_cholesky.diagonal()).tolist()
+        if not all(v > 0.0 for v in ratios):
+            raise IfwbError("L has a diagonal entry that is not positive")
+        det_gap = math.log2(abs(det))
+        miss = sum(map(math.log2, ratios)) - det_gap
+        if not abs(miss) <= IDENTITY_TOL:
+            raise IfwbError(f"per-step rates miss the sum-rate identity by {miss:.4g} bits")
         ch._effective_models[key] = EffectiveNoiseModel(
-            A=_read_only(a), Ktilde=_read_only(k), L=_read_only(l), det=det,
-            det_gap=float(math.log2(abs(det))),
+            A=_read_only(a), Ktilde=_read_only(k), L=_read_only(l), det=det, det_gap=det_gap,
         )
     return ch._effective_models[key]
 

@@ -618,6 +618,37 @@ def test_channel_with_a_1e150_entry(capsys, tmp_path):
     assert run_json(capsys, _channel_argv(tmp_path, "region", h))["results"]
 
 
+@pytest.mark.parametrize("h, snr_db, a_matrix, message", [
+    ([[1e150, 0.5], [0.3, 1.2]], "15", "1,1;0,1",
+     "per-step rates miss the sum-rate identity by 443.6 bits"),
+    ([[1e150, 0.5], [0.3, 1.2]], "15", "1,2;3,4",
+     "per-step rates miss the sum-rate identity by 445.6 bits"),
+    ([[0.3234412292364441, 0.5782942353730057, 1e150, 0.828246635705446],
+      [-1.6052037759533957, 0.20068654206791645, -1.0, 2.156174210013996]],
+     "-400", "2,-1,1,2;-2,1,-1,2;-2,-1,0,0;1,-1,1,1", "L has a diagonal entry that is not positive"),
+], ids=["lost-direction", "lost-direction-det-2", "zero-pivot"])
+def test_rates_that_break_the_sum_rate_identity_are_refused(capsys, tmp_path, h, snr_db, a_matrix, message):
+    """An effective model whose L lost a small direction, which the normwise
+    snr L L^T check cannot see, is refused with one line and no warning:
+    its per-step rates would not sum to C_WI - log2|det A|."""
+    argv = _channel_argv(tmp_path, "rates", h)[:-2] + [f"--snr-db={snr_db}", f"--a-matrix={a_matrix}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["ifwb: " + message]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["rates", "optimize-a"])
+def test_transform_beyond_int64_is_one_error(capsys, tmp_path, command):
+    """An LLL transform with entries beyond the int64 range is a contract
+    error: exit 2 and one line, not a traceback."""
+    argv = _channel_argv(tmp_path, command, [[1e10, -1.7615958788813297, -0.17838497529349667]])
+    assert main(argv[:-2] + ["--snr-db=400", "--mode", "lll"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["ifwb: unimodular transform entries exceed int64 range"]
+    assert captured.out == ""
+
+
 def _example_argv(tmp_path, ex1_csv, command):
     """A call of command on example 1 at 15 dB that succeeds."""
     if command == "simulate":

@@ -183,14 +183,20 @@ class TestEffectiveNoiseReference:
                 ch = ChannelInstance(rng.standard_normal((n, 2)), 10.0 ** (snr_db / 10.0))
                 assert not assert_matches_reference(ch, af)
 
-    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("m", range(2, 17))
     def test_single_matrices_and_stacks_match_the_reference(self, m):
-        """The same on single matrices, and on (4, 5) stacks of them, at N 1..M+2, 0-120 dB."""
+        """The same on single matrices at N 1..M+2, 0-120 dB, M 2-16 (ifwb
+        builds single models up to M 16), and on (4, 5) stacks of them at M
+        2-6. At some M from 9 to 15 (which M depends on the BLAS kernel) a single
+        matrix's x @ x.T has other last bits than a stack's x @ contiguous(x^T),
+        and a stack's one 2-D product with G other bits than the reference's
+        per-matrix products; the scan's stacks are two-stream."""
         rng = np.random.default_rng([4300, m])
         for _ in range(12):
             ch = conditioned_channel(rng, m, int(rng.integers(1, m + 3)), float(rng.uniform(0.0, 120.0)))
             stack = np.stack([random_full_rank_int(rng, m, bound=3) for _ in range(20)]).astype(float)
-            assert not assert_matches_reference(ch, stack.reshape(4, 5, m, m))
+            if m <= 6:
+                assert not assert_matches_reference(ch, stack.reshape(4, 5, m, m))
             for af in stack[:5]:
                 assert not assert_matches_reference(ch, af)
 

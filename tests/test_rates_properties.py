@@ -87,16 +87,20 @@ def test_sweep_started_from_the_previous_snr_matches_a_cold_start(ch, snr_db, or
 @given(ch=seeded_channel(dims=range(1, 7), max_db=300.0, square=True),
        seed=st.integers(0, 2**32 - 1))
 def test_no_false_alarm_up_to_300_db(ch, seed):
-    """The channel's factor check and the snr L L^T check pass, and every
-    model builds: A = I, the reversal (decode order M..1) and a random
-    full-rank A with entries in [-3, 3], at M 1-6, N 1..M+2, 0-300 dB and
-    condition numbers 1-1e9."""
+    """The channel's factor check, the snr L L^T check and the sum-rate
+    identity check pass, and every model builds: A = I, the reversal (decode
+    order M..1) and a random full-rank A with entries in [-3, 3], at M 1-6,
+    N 1..M+2, 0-300 dB and condition numbers 1-1e9. The per-step rates sum
+    to C_WI - log2|det A| within 1e-9 bits."""
     m = ch.num_streams
     rng = np.random.default_rng(seed)
+    cwi = white_input_capacity(ch)
     for a in (np.eye(m, dtype=np.int64), np.eye(m, dtype=np.int64)[::-1],
               random_full_rank_int(rng, m, bound=3)):
         model = if_effective_model(ch, a)
         assert np.all(np.diag(model.L) > 0)
+        sif = successive_if_rates(ch, a)
+        assert abs(sif.sum_rate + sif.det_gap - cwi) <= 1e-9
 
 
 @PROPERTY_SETTINGS
